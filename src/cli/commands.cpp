@@ -426,12 +426,13 @@ const char* status_name(pcap::ReadStatus status) {
   return "unknown";
 }
 
-const char* codec_name(core::CacheCodec codec) {
+/// Names the header's codec word; only delta-varint caches are read.
+const char* codec_name(std::uint32_t codec) {
   switch (codec) {
-    case core::CacheCodec::kRaw: return "raw";
-    case core::CacheCodec::kDeltaVarint: return "delta-varint";
+    case 0: return "raw (retired, rescanned on use)";
+    case 1: return "delta-varint";
+    default: return "unknown";
   }
-  return "unknown";
 }
 
 std::string hex64(std::uint64_t value) {
@@ -515,16 +516,6 @@ int run_cache_build(const Args& parsed, const std::string& capture) {
   auto options = ingest_options(parsed);
   options.use_cache = true;
   if (const auto out = parsed.flag("out")) options.cache_path = *out;
-  if (const auto codec = parsed.flag("codec")) {
-    if (*codec == "raw") {
-      options.cache_codec = core::CacheCodec::kRaw;
-    } else if (*codec == "delta" || *codec == "delta-varint") {
-      options.cache_codec = core::CacheCodec::kDeltaVarint;
-    } else {
-      throw std::invalid_argument("cache build: unknown codec '" + *codec +
-                                  "' (raw | delta)");
-    }
-  }
   const auto cache_path = options.cache_path.empty()
                               ? std::filesystem::path(capture + ".spc")
                               : options.cache_path;

@@ -21,7 +21,7 @@
 //   synscan query --socket=/run/synscand.sock QUERY campaigns tool=zmap
 //       Thin client: send one daemon command, print the response body.
 //
-//   synscan cache stat|verify|build <path> [--capture=...] [--codec=...]
+//   synscan cache stat|verify|build <path> [--capture=...] [--out=...]
 //       Probe-cache (.spc) maintenance: header dump, full offline
 //       validation, or prebuilding a cache ahead of analysis runs.
 //
@@ -61,8 +61,8 @@ void print_usage(std::ostream& os) {
         "  query:    --socket=<path> | --port=<n> [--host=<ip>] <command...>\n"
         "            e.g. PING | STATUS | LOAD <pcap> | QUERY analyze | SHUTDOWN\n"
         "  cache:    stat <file.spc> | verify <file.spc> [--capture=<pcap>] |\n"
-        "            build <capture.pcap> [--out=<file.spc>] [--codec=raw|delta]\n"
-        "            [--force] [--scan-chunks=<n>]\n"
+        "            build <capture.pcap> [--out=<file.spc>] [--force]\n"
+        "            [--scan-chunks=<n>]\n"
         "  rollup:   build|query <captures...> [--workers=<n>] [--json=<file>]\n"
         "            [--no-rollup-store] | stat <file.spr>   (docs/ARCHITECTURE.md\n"
         "            \"Rollup store\": merged reports match analyze --json bytes)\n";

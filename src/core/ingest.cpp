@@ -16,8 +16,6 @@
 #include "pcap/mapped_reader.h"
 #include "pcap/pcapng.h"
 #include "telescope/classify_detail.h"
-#include "telescope/classify_lanes.h"
-#include "telescope/simd.h"
 
 namespace synscan::core {
 namespace {
@@ -33,7 +31,6 @@ constexpr std::size_t kMaxScanChunks = 64;
 struct IngestMetrics {
   obs::Counter* batches = nullptr;
   obs::Counter* chunks = nullptr;
-  obs::Counter* simd_rows = nullptr;
   obs::Counter* mmap_bytes = nullptr;
   obs::Counter* fallback_reads = nullptr;
   obs::Counter* cache_hits = nullptr;
@@ -45,7 +42,6 @@ struct IngestMetrics {
     auto& registry = obs::MetricsRegistry::global();
     batches = &registry.counter("ingest.batches");
     chunks = &registry.counter("ingest.chunks");
-    simd_rows = &registry.counter("ingest.simd_rows");
     mmap_bytes = &registry.counter("ingest.mmap_bytes");
     fallback_reads = &registry.counter("ingest.fallback_reads");
     cache_hits = &registry.counter("ingest.cache_hits");
@@ -55,61 +51,29 @@ struct IngestMetrics {
 };
 
 /// Classifier sink for the fused record walk (`ChunkReader::scan`):
-/// consumes records straight off the walk, assembling SIMD lane groups
-/// in place instead of staging `net::FrameView`s, and hands off one
-/// `ProbeBatch` per `batch_frames` frames. Group formation restarts at
-/// every batch boundary (the trailing partial group is classified by the
-/// scalar reference), exactly like `Sensor::classify_batch` over the
-/// same windows — probes, probe order and counters are bit-identical to
-/// the scalar loop on any dispatch level. The deliver callback may move
-/// the batch away; buffers are re-armed either way.
+/// classifies records straight off the walk instead of staging
+/// `net::FrameView`s, and hands off one `ProbeBatch` per `batch_frames`
+/// frames — probes, probe order and counters are bit-identical to
+/// `Sensor::classify_batch` over the same frames. The deliver callback
+/// may move the batch away; buffers are re-armed either way.
 class FusedClassifier {
  public:
   using Deliver = std::function<void(telescope::ProbeBatch&)>;
-  using GroupFn = void (*)(const telescope::Telescope&,
-                           const telescope::detail::PendingLanes&,
-                           telescope::SensorCounters&, telescope::detail::ProbeCursor&,
-                           std::uint64_t&);
 
   FusedClassifier(const telescope::Telescope& telescope, std::size_t batch_frames,
                   Deliver deliver)
       : telescope_(&telescope),
         batch_frames_(batch_frames),
         deliver_(std::move(deliver)) {
-    switch (telescope::simd::active_level()) {
-      case telescope::simd::SimdLevel::kAvx2:
-        group_size_ = 8;
-        group_fn_ = &telescope::detail::classify_group_avx2;
-        break;
-      case telescope::simd::SimdLevel::kSse2:
-        group_size_ = 4;
-        group_fn_ = &telescope::detail::classify_group_sse2;
-        break;
-      case telescope::simd::SimdLevel::kScalar:
-        break;
-    }
     arm_batch();
   }
 
-  /// One record, in capture order; the bytes must stay valid until the
-  /// batch holding this frame's probe has been delivered (they point
-  /// into the capture window, which outlives the scan).
+  /// One record, in capture order; the bytes are only read during the
+  /// call.
   void consume(net::TimeUs timestamp_us, const std::uint8_t* data,
                std::uint32_t captured_length) {
-    if (group_size_ == 0 || captured_length < telescope::detail::kMinLaneBytes) {
-      // Short frames can never emit a probe (no room for a full TCP
-      // header), so classifying them immediately preserves probe order.
-      telescope::detail::classify_raw(*telescope_, timestamp_us,
-                                      {data, captured_length}, counters_, cursor_);
-    } else {
-      pending_.ptr[pending_.count] = data;
-      pending_.caplen[pending_.count] = captured_length;
-      pending_.ts[pending_.count] = timestamp_us;
-      if (++pending_.count == group_size_) {
-        group_fn_(*telescope_, pending_, counters_, cursor_, simd_rows_);
-        pending_.count = 0;
-      }
-    }
+    telescope::detail::classify_raw(*telescope_, timestamp_us, {data, captured_length},
+                                    counters_, cursor_);
     if (++window_frames_ == batch_frames_) flush_batch();
   }
 
@@ -122,7 +86,6 @@ class FusedClassifier {
   [[nodiscard]] const telescope::SensorCounters& counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return simd_rows_; }
 
  private:
   /// Sizes every column to the window's worst case (all frames probes)
@@ -148,14 +111,6 @@ class FusedClassifier {
   }
 
   void flush_batch() {
-    // Scalar tail for the incomplete lane group, exactly like the batch
-    // kernels: group formation restarts at every window boundary.
-    for (std::size_t i = 0; i < pending_.count; ++i) {
-      telescope::detail::classify_raw(*telescope_, pending_.ts[i],
-                                      {pending_.ptr[i], pending_.caplen[i]}, counters_,
-                                      cursor_);
-    }
-    pending_.count = 0;
     const auto rows = cursor_.count;
     batch_.timestamp_us.resize(rows);
     batch_.source.resize(rows);
@@ -175,11 +130,7 @@ class FusedClassifier {
   const telescope::Telescope* telescope_;
   std::size_t batch_frames_;
   Deliver deliver_;
-  std::size_t group_size_ = 0;  ///< kernel lane width; 0 = scalar loop
-  GroupFn group_fn_ = nullptr;
-  telescope::detail::PendingLanes pending_;
   telescope::SensorCounters counters_;
-  std::uint64_t simd_rows_ = 0;
   std::size_t window_frames_ = 0;  ///< frames consumed since last flush
   telescope::ProbeBatch batch_;
   telescope::detail::ProbeCursor cursor_{};
@@ -190,7 +141,6 @@ struct ChunkOutcome {
   std::vector<telescope::ProbeBatch> batches;
   telescope::SensorCounters counters;
   std::uint64_t frames = 0;
-  std::uint64_t simd_rows = 0;
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
   std::exception_ptr error;
 };
@@ -265,7 +215,7 @@ IngestResult ingest_capture(const std::filesystem::path& path,
   std::optional<ProbeCacheWriter> writer;
   if (identity) {
     try {
-      writer.emplace(cache_path, *identity, options.cache_codec);
+      writer.emplace(cache_path, *identity);
     } catch (const std::exception&) {
     }
   }
@@ -295,7 +245,6 @@ IngestResult ingest_capture(const std::filesystem::path& path,
     classifier.finish();
     result.frames = chunk.frames_read();
     result.sensor = classifier.counters();
-    result.simd_rows = classifier.simd_rows();
   };
 
   /// Parallel fused scan: each chunk is walked and classified by its own
@@ -329,7 +278,6 @@ IngestResult ingest_capture(const std::filesystem::path& path,
             classifier.finish();
             outcome.frames = chunk.frames_read();
             outcome.counters = classifier.counters();
-            outcome.simd_rows = classifier.simd_rows();
           } catch (...) {
             outcome.error = std::current_exception();
           }
@@ -345,7 +293,6 @@ IngestResult ingest_capture(const std::filesystem::path& path,
       for (auto& batch : outcome.batches) deliver_batch(batch);
       result.frames += outcome.frames;
       result.sensor.add(outcome.counters);
-      result.simd_rows += outcome.simd_rows;
       if (outcome.status != pcap::ReadStatus::kEndOfFile) {
         result.status = outcome.status;
         break;
@@ -369,7 +316,6 @@ IngestResult ingest_capture(const std::filesystem::path& path,
       run_serial(reader);
     }
     if (metrics.chunks != nullptr) metrics.chunks->add(result.chunks);
-    if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
   };
 
   if (pcap::looks_like_pcapng(path)) {
@@ -404,8 +350,6 @@ IngestResult ingest_capture(const std::filesystem::path& path,
       }
     }
     result.sensor = sensor.counters();
-    result.simd_rows = sensor.simd_rows();
-    if (metrics.simd_rows != nullptr) metrics.simd_rows->add(result.simd_rows);
   } else if (!options.use_mmap) {
     std::ifstream stream(path, std::ios::binary);
     if (!stream.is_open()) {

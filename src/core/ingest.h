@@ -4,17 +4,24 @@
 // path for the input —
 //   1. a validated columnar probe cache (`.spc`, core/probe_cache.h):
 //      skip decode and classification entirely;
-//   2. a memory-mapped classic pcap (`pcap::MappedReader`): zero-copy
-//      frame views, batched classification via `Sensor::classify_batch`;
-//   3. record-at-a-time fallback (pcapng input, non-mappable files, or
-//      `use_mmap = false`), still classified in batches —
+//   2. a classic pcap, memory-mapped (`pcap::MappedReader`) or, for
+//      `use_mmap = false` and unmappable files, read into memory: one
+//      fused walk over the records classifies each frame in place with
+//      the scalar classifier (`telescope::detail::classify_raw`, the
+//      same code `Sensor::classify_batch` runs), split into
+//      record-aligned chunks on parallel threads once the capture is
+//      large enough (`scan_chunks`);
+//   3. pcapng input: record-at-a-time reads, classified in batches via
+//      `Sensor::classify_batch` —
 // and hands the probes to the caller one `ProbeBatch` at a time. The
 // three paths produce bit-identical probes and sensor counters (held
 // together by tests/integration/ingest_differential_test.cpp).
 //
 // After a cold decode of a regular file the probes are written back as a
-// cache (best-effort: cache I/O failures never fail the run), so the
-// second replay of the same capture takes path 1.
+// `.spc` v2 cache (best-effort: cache I/O failures never fail the run),
+// so the second replay of the same capture takes path 1. A cache this
+// build cannot read (stale, corrupt, v1 or raw-codec) is rescanned and
+// rewritten.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +53,6 @@ struct IngestOptions {
   /// captures stay serial regardless: splitting pays off only once the
   /// scan outweighs thread startup.
   std::size_t scan_chunks = 0;
-  /// Chunk encoding for caches this run writes (reads auto-detect).
-  CacheCodec cache_codec = CacheCodec::kDeltaVarint;
   /// Cache location override; empty means `<capture>.spc`.
   std::filesystem::path cache_path;
 };
@@ -57,10 +62,9 @@ struct IngestResult {
   std::uint64_t frames = 0;
   pcap::ReadStatus status = pcap::ReadStatus::kEndOfFile;
   std::uint64_t batches = 0;
-  std::uint64_t chunks = 0;     ///< scan chunks used by the cold path
-  std::uint64_t simd_rows = 0;  ///< frames resolved on a vector lane
-  bool from_cache = false;      ///< probes came from a validated cache
-  bool mapped = false;          ///< capture bytes were mmap'ed
+  std::uint64_t chunks = 0;  ///< scan chunks used by the cold path
+  bool from_cache = false;   ///< probes came from a validated cache
+  bool mapped = false;       ///< capture bytes were mmap'ed
 };
 
 /// Receives each probe batch in capture order. The batch is only valid

@@ -171,9 +171,15 @@ PipelineResult ParallelAnalyzer::finish() {
   for (const auto& worker : workers_) worker->thread.join();
 
   obs::ScopedTimer merge_timer("parallel.merge");
+  // Each worker saw only its sources; expiry at stream end is judged
+  // against the whole stream's last timestamp, as the serial tracker does.
+  net::TimeUs stream_end = 0;
+  for (const auto& worker : workers_) {
+    stream_end = std::max(stream_end, worker->pipeline.max_timestamp());
+  }
   PipelineResult merged;
   for (const auto& worker : workers_) {
-    auto result = worker->pipeline.finish();
+    auto result = worker->pipeline.finish(stream_end);
     merged.campaigns.insert(merged.campaigns.end(),
                             std::make_move_iterator(result.campaigns.begin()),
                             std::make_move_iterator(result.campaigns.end()));

@@ -70,10 +70,10 @@ void Pipeline::absorb_sensor_counters(const telescope::SensorCounters& counters)
   absorbed_.add(counters);
 }
 
-PipelineResult Pipeline::finish() {
+PipelineResult Pipeline::finish(net::TimeUs stream_end) {
   {
     obs::ScopedTimer finish_timer("pipeline.finish");
-    tracker_.finish();
+    tracker_.finish(stream_end);
   }
   PipelineResult result;
   result.campaigns = std::move(campaigns_);

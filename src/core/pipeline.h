@@ -63,8 +63,10 @@ class Pipeline {
   /// Flushes the tracker and returns all results. Campaigns come back in
   /// canonical order — by first packet, then source, ids re-issued 1..N —
   /// the same order `ParallelAnalyzer::finish()` produces, so reports are
-  /// identical whatever the worker count.
-  [[nodiscard]] PipelineResult finish();
+  /// identical whatever the worker count. `stream_end` is forwarded to
+  /// `CampaignTracker::finish` (a sharded worker passes the whole
+  /// stream's last timestamp).
+  [[nodiscard]] PipelineResult finish(net::TimeUs stream_end = 0);
 
   /// Carry mode only (TrackerConfig::carry_boundary_flows): moves out the
   /// boundary flow segments the tracker exported. Call after `finish()`.

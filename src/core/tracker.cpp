@@ -163,7 +163,8 @@ void CampaignTracker::sweep(net::TimeUs now) {
   }
 }
 
-void CampaignTracker::finish() {
+void CampaignTracker::finish(net::TimeUs stream_end) {
+  now_ = std::max(now_, stream_end);
   table_.for_each([&](std::uint32_t source, std::uint32_t slot) {
     Flow& flow = pool_[slot];
     if (config_.carry_boundary_flows) {

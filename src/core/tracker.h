@@ -110,8 +110,11 @@ class CampaignTracker {
   /// timestamp counts as expired — the scan had ended, the stream end
   /// merely delivered the verdict — which keeps `expired_flows` a pure
   /// function of the probe timestamps (and therefore shard-mergeable)
-  /// instead of an artifact of sweep scheduling.
-  void finish();
+  /// instead of an artifact of sweep scheduling. A tracker that saw only
+  /// part of the stream (a source-sharded worker) passes the whole
+  /// stream's last timestamp as `stream_end`, so its verdicts match a
+  /// tracker that saw everything.
+  void finish(net::TimeUs stream_end = 0);
 
   /// Carry mode only: the boundary segments collected so far (heads as
   /// they closed, tails at `finish()`). Moves the collection out.

@@ -6,7 +6,6 @@
 #include "net/headers.h"
 #include "telescope/classify_detail.h"
 #include "telescope/probe_batch.h"
-#include "telescope/simd.h"
 
 namespace synscan::telescope {
 
@@ -74,8 +73,8 @@ FrameClass Sensor::classify_decoded(net::TimeUs timestamp_us, const net::Decoded
 
 namespace detail {
 
-// One frame of the batched fast path (shared with the SIMD kernels via
-// classify_detail.h). Every early return mirrors a rejection in
+// One frame of the batched fast path (shared with the fused ingest scan
+// via classify_detail.h). Every early return mirrors a rejection in
 // decode_frame/classify_decoded so the counter histogram stays
 // bit-identical to the record-at-a-time path.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
@@ -215,22 +214,8 @@ std::size_t Sensor::classify_batch(std::span<const net::FrameView> frames,
                              out.ip_id.data() + before,
                              out.window.data() + before,
                              out.ttl.data() + before};
-  // Widest kernel the host (and SYNSCAN_SIMD) allows; every tier is
-  // bit-identical to the scalar loop — the kernels fall back to
-  // classify_raw per frame for anything their predicates cannot prove.
-  switch (simd::active_level()) {
-    case simd::SimdLevel::kAvx2:
-      detail::classify_frames_avx2(*telescope_, frames, counters_, cursor, simd_rows_);
-      break;
-    case simd::SimdLevel::kSse2:
-      detail::classify_frames_sse2(*telescope_, frames, counters_, cursor, simd_rows_);
-      break;
-    case simd::SimdLevel::kScalar:
-      for (const auto& frame : frames) {
-        detail::classify_raw(*telescope_, frame.timestamp_us, frame.bytes, counters_,
-                             cursor);
-      }
-      break;
+  for (const auto& frame : frames) {
+    detail::classify_raw(*telescope_, frame.timestamp_us, frame.bytes, counters_, cursor);
   }
   const auto count = before + cursor.count;
   out.timestamp_us.resize(count);

@@ -104,27 +104,19 @@ class Sensor {
   /// classification (and therefore every counter) is bit-identical to
   /// feeding each frame through `classify`; the differential tests in
   /// tests/telescope/probe_batch_test.cpp hold the two paths together.
-  /// Dispatches to the widest SIMD kernel the host supports
-  /// (telescope/simd.h; `SYNSCAN_SIMD=off` forces the scalar loop).
   /// Returns the number of probes appended.
   std::size_t classify_batch(std::span<const net::FrameView> frames, ProbeBatch& out);
 
   [[nodiscard]] const SensorCounters& counters() const noexcept { return counters_; }
-  /// Frames fully resolved on a vector lane by `classify_batch` (frames
-  /// that took the per-frame scalar fallback are not counted). Feeds the
-  /// `ingest.simd_rows` metric; not part of `SensorCounters` because the
-  /// counter histogram is serialized into `.spc` caches and must stay
-  /// independent of the dispatch choice.
-  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return simd_rows_; }
-  void reset_counters() noexcept {
-    counters_ = {};
-    simd_rows_ = 0;
-  }
+  /// Always 0: classification has a single scalar path, so no frame is
+  /// resolved on a vector lane. Kept only for the per-layer
+  /// `telescope.simd_row_share` metric in perfbench/src/layers.cpp.
+  [[nodiscard]] std::uint64_t simd_rows() const noexcept { return 0; }
+  void reset_counters() noexcept { counters_ = {}; }
 
  private:
   const Telescope* telescope_;
   SensorCounters counters_;
-  std::uint64_t simd_rows_ = 0;
 };
 
 }  // namespace synscan::telescope

@@ -56,8 +56,29 @@ std::multimap<std::uint32_t, std::pair<std::uint64_t, std::uint32_t>> summarize(
   return out;
 }
 
+/// `workload()` plus a tail that tests stream-end expiry: after the
+/// generated traffic, eight sources each probe once, and only then, more
+/// than one expiry later, does a last source end the stream. Each of the
+/// eight flows expired against the stream end; a source-sharded worker
+/// whose own last packet is one of those probes must judge it against
+/// the whole stream's end, not its own.
+std::vector<net::RawFrame> workload_with_quiet_tail() {
+  auto frames = workload();
+  const TrackerConfig config;
+  const auto quiet_at = frames.back().timestamp_us + 2 * config.expiry;
+  const auto dark = net::Ipv4Address::from_octets(198, 51, 1, 1);
+  for (std::uint8_t i = 0; i < 8; ++i) {
+    frames.push_back(
+        {quiet_at, testing::syn_frame(net::Ipv4Address::from_octets(45, 0, 0, i), dark, 80)});
+  }
+  frames.push_back({quiet_at + config.expiry + net::kMicrosPerSecond,
+                    testing::syn_frame(net::Ipv4Address::from_octets(46, 0, 0, 1), dark,
+                                       80)});
+  return frames;
+}
+
 TEST(ParallelAnalyzer, MatchesSerialPipeline) {
-  const auto frames = workload();
+  const auto frames = workload_with_quiet_tail();
 
   Pipeline serial(test_telescope());
   for (const auto& frame : frames) serial.feed_frame(frame);
@@ -67,15 +88,27 @@ TEST(ParallelAnalyzer, MatchesSerialPipeline) {
   for (const auto& frame : frames) parallel.feed_frame(frame);
   const auto parallel_result = parallel.finish();
 
-  EXPECT_EQ(parallel_result.sensor.scan_probes, serial_result.sensor.scan_probes);
-  EXPECT_EQ(parallel_result.sensor.backscatter, serial_result.sensor.backscatter);
-  EXPECT_EQ(parallel_result.sensor.ingress_blocked,
-            serial_result.sensor.ingress_blocked);
-  EXPECT_EQ(parallel_result.tracker.probes, serial_result.tracker.probes);
-  EXPECT_EQ(parallel_result.tracker.subthreshold_flows,
-            serial_result.tracker.subthreshold_flows);
-  ASSERT_EQ(parallel_result.campaigns.size(), serial_result.campaigns.size());
-  EXPECT_EQ(summarize(parallel_result.campaigns), summarize(serial_result.campaigns));
+  // Every sensor and tracker counter the JSON report emits.
+  const auto& want = serial_result;
+  const auto& got = parallel_result;
+  EXPECT_EQ(got.sensor.scan_probes, want.sensor.scan_probes);
+  EXPECT_EQ(got.sensor.backscatter, want.sensor.backscatter);
+  EXPECT_EQ(got.sensor.xmas_or_null, want.sensor.xmas_or_null);
+  EXPECT_EQ(got.sensor.other_tcp, want.sensor.other_tcp);
+  EXPECT_EQ(got.sensor.udp, want.sensor.udp);
+  EXPECT_EQ(got.sensor.icmp, want.sensor.icmp);
+  EXPECT_EQ(got.sensor.not_monitored, want.sensor.not_monitored);
+  EXPECT_EQ(got.sensor.ingress_blocked, want.sensor.ingress_blocked);
+  EXPECT_EQ(got.sensor.malformed, want.sensor.malformed);
+  EXPECT_EQ(got.sensor.spoofed_source, want.sensor.spoofed_source);
+  EXPECT_EQ(got.tracker.probes, want.tracker.probes);
+  EXPECT_EQ(got.tracker.subthreshold_flows, want.tracker.subthreshold_flows);
+  EXPECT_EQ(got.tracker.subthreshold_packets, want.tracker.subthreshold_packets);
+  EXPECT_EQ(got.tracker.expired_flows, want.tracker.expired_flows);
+  // The quiet tail's eight flows all count as expired.
+  EXPECT_GE(want.tracker.expired_flows, 8u);
+  ASSERT_EQ(got.campaigns.size(), want.campaigns.size());
+  EXPECT_EQ(summarize(got.campaigns), summarize(want.campaigns));
 }
 
 TEST(ParallelAnalyzer, DeterministicAcrossWorkerCounts) {

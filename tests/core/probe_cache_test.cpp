@@ -18,12 +18,7 @@ namespace fs = std::filesystem;
 class ProbeCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes, and
-    // a shared dir would let one case's TearDown delete another's files.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_probe_cache_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
     source_ = dir_ / "capture.pcap";
     cache_ = dir_ / "capture.pcap.spc";
     std::ofstream out(source_, std::ios::binary);
@@ -52,11 +47,10 @@ class ProbeCacheTest : public ::testing::Test {
   }
 
   /// Writes `batch` to `path` in one append, all rows as probes.
-  void write_cache(const fs::path& path, const telescope::ProbeBatch& batch,
-                   CacheCodec codec) const {
+  void write_cache(const fs::path& path, const telescope::ProbeBatch& batch) const {
     telescope::SensorCounters sensor;
     sensor.scan_probes = batch.size();
-    ProbeCacheWriter writer(path, *cache_identity(source_), codec);
+    ProbeCacheWriter writer(path, *cache_identity(source_));
     writer.append(batch);
     ASSERT_TRUE(writer.commit(batch.size(), pcap::ReadStatus::kEndOfFile, sensor));
   }
@@ -81,16 +75,6 @@ class ProbeCacheTest : public ::testing::Test {
   static std::vector<std::uint8_t> slurp(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-  }
-
-  /// Reads every chunk back as one concatenated batch.
-  static telescope::ProbeBatch drain(ProbeCacheReader& reader) {
-    telescope::ProbeBatch all;
-    telescope::ProbeBatch chunk;
-    while (reader.next_chunk(chunk)) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) all.push_back(chunk.get(i));
-    }
-    return all;
   }
 
   fs::path dir_;
@@ -118,7 +102,6 @@ TEST_F(ProbeCacheTest, WriteReadRoundTrip) {
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->frame_count(), 42u);
   EXPECT_EQ(reader->probe_count(), 7u);
-  EXPECT_EQ(reader->codec(), CacheCodec::kDeltaVarint);
   EXPECT_EQ(reader->terminal_status(), pcap::ReadStatus::kEndOfFile);
   EXPECT_EQ(reader->sensor().scan_probes, 7u);
   EXPECT_EQ(reader->sensor().malformed, 3u);
@@ -135,27 +118,15 @@ TEST_F(ProbeCacheTest, WriteReadRoundTrip) {
   EXPECT_TRUE(chunk.empty());
 }
 
-TEST_F(ProbeCacheTest, RawCodecRoundTrip) {
-  const auto batch = sample_batch(9, 31);
-  write_cache(cache_, batch, CacheCodec::kRaw);
-  auto reader = ProbeCacheReader::open(cache_, identity());
-  ASSERT_TRUE(reader.has_value());
-  EXPECT_EQ(reader->codec(), CacheCodec::kRaw);
-  telescope::ProbeBatch chunk;
-  ASSERT_TRUE(reader->next_chunk(chunk));
-  ASSERT_EQ(chunk.size(), 9u);
-  expect_rows_equal(chunk, 0, batch, 0, 9);
-}
-
 TEST_F(ProbeCacheTest, FileBytesIndependentOfAppendBatching) {
   const auto batch = sample_batch(23, 500);
   const auto whole = dir_ / "whole.spc";
   const auto split = dir_ / "split.spc";
-  write_cache(whole, batch, CacheCodec::kDeltaVarint);
+  write_cache(whole, batch);
   {
     telescope::SensorCounters sensor;
     sensor.scan_probes = batch.size();
-    ProbeCacheWriter writer(split, identity(), CacheCodec::kDeltaVarint);
+    ProbeCacheWriter writer(split, identity());
     telescope::ProbeBatch piece;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       piece.push_back(batch.get(i));
@@ -171,7 +142,7 @@ TEST_F(ProbeCacheTest, FileBytesIndependentOfAppendBatching) {
 
 TEST_F(ProbeCacheTest, FixedRowGridSplitsLargeStreams) {
   const auto batch = sample_batch(kCacheRowsPerChunk + 3, 9);
-  write_cache(cache_, batch, CacheCodec::kDeltaVarint);
+  write_cache(cache_, batch);
   auto reader = ProbeCacheReader::open(cache_, identity());
   ASSERT_TRUE(reader.has_value());
   telescope::ProbeBatch chunk;
@@ -184,13 +155,11 @@ TEST_F(ProbeCacheTest, FixedRowGridSplitsLargeStreams) {
 
 TEST_F(ProbeCacheTest, DeltaCodecCompressesCorrelatedColumns) {
   // Sequential timestamps and near-sequential addresses — the shape of
-  // real probe streams — must come out smaller than the raw layout.
+  // real probe streams — must come out smaller than plain columns: the
+  // 136-byte header, one u64 row count and 33 bytes per row.
   const auto batch = sample_batch(4096, 1000);
-  const auto raw = dir_ / "raw.spc";
-  const auto packed = dir_ / "packed.spc";
-  write_cache(raw, batch, CacheCodec::kRaw);
-  write_cache(packed, batch, CacheCodec::kDeltaVarint);
-  EXPECT_LT(fs::file_size(packed), fs::file_size(raw));
+  write_cache(cache_, batch);
+  EXPECT_LT(fs::file_size(cache_), 136u + 8u + 33u * batch.size());
 }
 
 TEST_F(ProbeCacheTest, PreservesTruncatedTerminalStatus) {
@@ -209,7 +178,7 @@ TEST_F(ProbeCacheTest, PreservesTruncatedTerminalStatus) {
 
 TEST_F(ProbeCacheTest, StaleIdentityIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(1, 1), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(1, 1));
   auto changed = id;
   changed.source_size += 1;
   EXPECT_FALSE(ProbeCacheReader::open(cache_, changed).has_value());
@@ -221,7 +190,7 @@ TEST_F(ProbeCacheTest, StaleIdentityIsRejected) {
 
 TEST_F(ProbeCacheTest, BitFlipInCompressedStreamIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(64, 77), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(64, 77));
   ASSERT_TRUE(ProbeCacheReader::open(cache_, id).has_value());
   // 136 = header, +8 row count, +8 length prefix: this lands inside the
   // timestamp varint stream. The checksum must catch the flip.
@@ -240,7 +209,7 @@ TEST_F(ProbeCacheTest, BitFlipInCompressedStreamIsRejected) {
 
 TEST_F(ProbeCacheTest, TruncatedCompressedColumnIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(64, 3), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(64, 3));
   // Cut into the fixed-width tail, then deep into the varint region;
   // both must read as "no cache", never as partial probes.
   fs::resize_file(cache_, fs::file_size(cache_) - 5);
@@ -254,7 +223,7 @@ TEST_F(ProbeCacheTest, TruncatedCompressedColumnIsRejected) {
 
 TEST_F(ProbeCacheTest, UnsupportedVersionIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(4, 8), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(4, 8));
   {
     std::fstream file(cache_, std::ios::binary | std::ios::in | std::ios::out);
     file.seekp(4);
@@ -268,7 +237,7 @@ TEST_F(ProbeCacheTest, UnsupportedVersionIsRejected) {
 
 TEST_F(ProbeCacheTest, UnknownCodecIsRejected) {
   const auto id = identity();
-  write_cache(cache_, sample_batch(4, 8), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(4, 8));
   {
     std::fstream file(cache_, std::ios::binary | std::ios::in | std::ios::out);
     file.seekp(44);
@@ -278,83 +247,12 @@ TEST_F(ProbeCacheTest, UnknownCodecIsRejected) {
   EXPECT_NE(cache_verify(cache_).error.find("codec"), std::string::npos);
 }
 
-TEST_F(ProbeCacheTest, VersionOneFilesStayReadable) {
-  // A v1 file hand-built to the original layout: raw columns, one chunk
-  // per append, zero in the (then reserved) codec slot.
-  const auto id = identity();
-  const auto batch = sample_batch(2, 55);
-  std::vector<std::uint8_t> chunk;
-  const auto le = [&chunk](std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) chunk.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  le(batch.size(), 8);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.timestamp_us[i], 8);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.destination[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.source_port[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.destination_port[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.sequence[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.acknowledgment[i], 4);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.ip_id[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.window[i], 2);
-  for (std::size_t i = 0; i < batch.size(); ++i) le(batch.ttl[i], 1);
-
-  // FNV-1a over little-endian 64-bit words, zero-padded tail.
-  std::uint64_t checksum = 0xcbf29ce484222325ull;
-  for (std::size_t at = 0; at < chunk.size(); at += 8) {
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < 8 && at + i < chunk.size(); ++i) {
-      word |= static_cast<std::uint64_t>(chunk[at + i]) << (8 * i);
-    }
-    checksum = (checksum ^ word) * 0x100000001b3ull;
-  }
-
-  std::vector<std::uint8_t> header;
-  const auto hle = [&header](std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      header.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  hle(0x31637073, 4);  // "spc1"
-  hle(1, 4);           // version 1
-  hle(id.source_size, 8);
-  hle(id.source_mtime_ns, 8);
-  hle(batch.size(), 8);  // frame_count
-  hle(batch.size(), 8);  // probe_count
-  hle(0, 4);             // kEndOfFile
-  hle(0, 4);             // reserved (pre-codec)
-  hle(batch.size(), 8);  // scan_probes
-  for (int i = 0; i < 9; ++i) hle(0, 8);
-  hle(checksum, 8);
-  ASSERT_EQ(header.size(), 136u);
-
-  {
-    std::ofstream out(cache_, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(header.data()),
-              static_cast<std::streamsize>(header.size()));
-    out.write(reinterpret_cast<const char*>(chunk.data()),
-              static_cast<std::streamsize>(chunk.size()));
-  }
-
-  auto reader = ProbeCacheReader::open(cache_, id);
-  ASSERT_TRUE(reader.has_value());
-  EXPECT_EQ(reader->codec(), CacheCodec::kRaw);
-  const auto got = drain(*reader);
-  ASSERT_EQ(got.size(), batch.size());
-  expect_rows_equal(got, 0, batch, 0, batch.size());
-
-  const auto info = cache_stat(cache_);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->version, 1u);
-  EXPECT_EQ(info->codec, CacheCodec::kRaw);
-}
-
 TEST_F(ProbeCacheTest, StatAndVerifyReportTheFile) {
-  write_cache(cache_, sample_batch(12, 42), CacheCodec::kDeltaVarint);
+  write_cache(cache_, sample_batch(12, 42));
   const auto info = cache_stat(cache_);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->version, 2u);
-  EXPECT_EQ(info->codec, CacheCodec::kDeltaVarint);
+  EXPECT_EQ(info->codec, 1u);  // delta-varint
   EXPECT_EQ(info->probe_count, 12u);
   EXPECT_EQ(info->frame_count, 12u);
   EXPECT_EQ(info->sensor.scan_probes, 12u);

@@ -17,6 +17,7 @@
 #include "net/packet.h"
 #include "pcap/pcap.h"
 #include "report/json.h"
+#include "test_support.h"
 
 namespace synscan::core {
 namespace {
@@ -65,11 +66,7 @@ struct StoreFixture : ::testing::Test {
   std::uint64_t fingerprint = 0;
 
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir = fs::temp_directory_path() /
-          (std::string("synscan_spr_") + info->name());
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    dir = testing::scratch_dir();
     capture = dir / "capture.pcap";
     write_capture(capture);
     rollup_path = rollup_path_for(capture);

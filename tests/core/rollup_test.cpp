@@ -322,16 +322,14 @@ void write_burst(pcap::Writer& writer, net::Ipv4Address source, std::uint32_t de
   }
 }
 
-/// Unique temp dir per test so parallel ctest runs cannot collide.
+/// Two shard captures in the test case's own scratch dir.
 struct ShardFixture {
   fs::path dir;
   fs::path first;
   fs::path second;
 
-  explicit ShardFixture(const char* name) {
-    dir = fs::temp_directory_path() / (std::string("synscan_rollup_unit_") + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+  ShardFixture() {
+    dir = testing::scratch_dir();
     first = dir / "a.pcap";
     second = dir / "b.pcap";
   }
@@ -350,7 +348,7 @@ AnalyzedCapture merge_two(const fs::path& a, const fs::path& b) {
 }
 
 TEST(RollupMerger, FlowSpanningShardsJoinsIntoOneCampaign) {
-  const ShardFixture fixture("join");
+  const ShardFixture fixture;
   {
     auto writer = pcap::Writer::create(fixture.first);
     write_burst(writer, src(1), 0, 80, 1'000'000, 10'000);
@@ -371,7 +369,7 @@ TEST(RollupMerger, FlowSpanningShardsJoinsIntoOneCampaign) {
 }
 
 TEST(RollupMerger, ExpiryGapAcrossShardsSplitsCampaigns) {
-  const ShardFixture fixture("gap");
+  const ShardFixture fixture;
   {
     auto writer = pcap::Writer::create(fixture.first);
     write_burst(writer, src(1), 0, 120, 1'000'000, 10'000);

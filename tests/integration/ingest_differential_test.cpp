@@ -11,18 +11,17 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/parallel.h"
 #include "core/pipeline.h"
+#include "core/probe_cache.h"
 #include "net/endian.h"
 #include "pcap/pcap.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
-#include "telescope/simd.h"
 #include "test_support.h"
 
 namespace synscan {
@@ -113,9 +112,7 @@ std::multimap<std::uint32_t, std::pair<std::uint64_t, std::uint32_t>> summarize(
 class IngestDifferential : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_ingest_differential";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
     capture_ = dir_ / "window.pcap";
 
     auto writer = pcap::Writer::create(capture_);
@@ -228,9 +225,7 @@ TEST_F(IngestDifferential, ParallelProbeFeedMatchesSerialReference) {
 class IngestDialects : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_ingest_dialects";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
   }
   void TearDown() override { fs::remove_all(dir_); }
 
@@ -341,32 +336,15 @@ TEST_F(IngestDialects, TruncatedCaptureKeepsProbesAndReportsStatus) {
   expect_same_sensor(warm.sensor, cold.sensor);
 }
 
-/// Restores the SIMD dispatch level a test overrode.
-class SimdLevelGuard {
- public:
-  SimdLevelGuard() : saved_(telescope::simd::active_level()) {}
-  ~SimdLevelGuard() { telescope::simd::set_active_level(saved_); }
-  SimdLevelGuard(const SimdLevelGuard&) = delete;
-  SimdLevelGuard& operator=(const SimdLevelGuard&) = delete;
-
- private:
-  telescope::simd::SimdLevel saved_;
-};
-
-/// The full cold-path configuration matrix — SIMD dispatch × scan
-/// parallelism × cache codec — pinned to one scalar/serial reference.
+/// The cold-path configuration matrix — mmap or stream × scan chunk
+/// count — pinned to one serial reference, `.spc` bytes included.
 /// The capture must clear the 4 MiB chunked-scan floor in
 /// core/ingest.cpp, so it is synthesized directly (~7 MB) rather than
 /// through the slower simgen pipeline.
 class IngestMatrix : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_ingest_matrix_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
     capture_ = dir_ / "matrix.pcap";
 
     simgen::Rng rng(20250809);
@@ -449,16 +427,71 @@ class IngestMatrix : public ::testing::Test {
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
   }
 
+  /// Writes `from`'s probes in the raw-column layout older builds wrote:
+  /// as v1 (codec word reserved, 0) or as v2 with the retired raw codec
+  /// 0. One chunk; framing and checksum are valid.
+  static void write_raw_layout(const fs::path& path, std::uint32_t version,
+                               const core::CacheIdentity& identity,
+                               const MatrixRun& from) {
+    const auto le = [](std::vector<std::uint8_t>& out, std::uint64_t v, int width) {
+      for (int i = 0; i < width; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    const auto& p = from.probes;
+    std::vector<std::uint8_t> chunk;
+    le(chunk, p.size(), 8);
+    for (const auto v : p.timestamp_us) le(chunk, static_cast<std::uint64_t>(v), 8);
+    for (const auto v : p.source) le(chunk, v, 4);
+    for (const auto v : p.destination) le(chunk, v, 4);
+    for (const auto v : p.source_port) le(chunk, v, 2);
+    for (const auto v : p.destination_port) le(chunk, v, 2);
+    for (const auto v : p.sequence) le(chunk, v, 4);
+    for (const auto v : p.acknowledgment) le(chunk, v, 4);
+    for (const auto v : p.ip_id) le(chunk, v, 2);
+    for (const auto v : p.window) le(chunk, v, 2);
+    for (const auto v : p.ttl) le(chunk, v, 1);
+
+    // FNV-1a over little-endian 64-bit words, zero-padded tail.
+    std::uint64_t checksum = 0xcbf29ce484222325ull;
+    for (std::size_t at = 0; at < chunk.size(); at += 8) {
+      std::uint64_t word = 0;
+      for (std::size_t i = 0; i < 8 && at + i < chunk.size(); ++i) {
+        word |= static_cast<std::uint64_t>(chunk[at + i]) << (8 * i);
+      }
+      checksum = (checksum ^ word) * 0x100000001b3ull;
+    }
+
+    const auto& sensor = from.result.sensor;
+    std::vector<std::uint8_t> header;
+    le(header, 0x31637073, 4);  // "spc1"
+    le(header, version, 4);
+    le(header, identity.source_size, 8);
+    le(header, identity.source_mtime_ns, 8);
+    le(header, from.result.frames, 8);
+    le(header, p.size(), 8);
+    le(header, static_cast<std::uint32_t>(from.result.status), 4);
+    le(header, 0, 4);  // raw codec (v1: reserved)
+    for (const auto counter :
+         {sensor.scan_probes, sensor.backscatter, sensor.xmas_or_null, sensor.other_tcp,
+          sensor.udp, sensor.icmp, sensor.not_monitored, sensor.ingress_blocked,
+          sensor.malformed, sensor.spoofed_source}) {
+      le(header, counter, 8);
+    }
+    le(header, checksum, 8);
+    ASSERT_EQ(header.size(), 136u);
+
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(header.data()),
+              static_cast<std::streamsize>(header.size()));
+    out.write(reinterpret_cast<const char*>(chunk.data()),
+              static_cast<std::streamsize>(chunk.size()));
+  }
+
   static constexpr std::uint64_t kFrames = 110'000;
   fs::path dir_;
   fs::path capture_;
 };
 
-TEST_F(IngestMatrix, SimdChunksAndCodecAllMatchScalarSerialReference) {
-  const SimdLevelGuard guard;
-  namespace simd = telescope::simd;
-
-  simd::set_active_level(simd::SimdLevel::kScalar);
+TEST_F(IngestMatrix, ScanChunksMatchSerialReference) {
   core::IngestOptions reference_options;
   reference_options.use_cache = false;
   reference_options.scan_chunks = 1;
@@ -467,49 +500,77 @@ TEST_F(IngestMatrix, SimdChunksAndCodecAllMatchScalarSerialReference) {
   ASSERT_EQ(reference.result.status, pcap::ReadStatus::kEndOfFile);
   ASSERT_EQ(reference.result.chunks, 1u);
 
-  // Cache bytes must depend only on the probe stream and codec, never on
-  // which classify kernel or how many scan chunks produced them.
-  std::map<core::CacheCodec, std::vector<char>> cache_bytes;
+  // Cache bytes must depend only on the probe stream, never on how the
+  // capture was read or how many scan chunks produced them.
+  std::vector<char> first_cache;
 
   int combo = 0;
-  for (const auto level : {simd::SimdLevel::kScalar, simd::detected_level()}) {
-    for (const std::size_t chunks : {std::size_t{1}, std::size_t{4}}) {
-      for (const auto codec :
-           {core::CacheCodec::kRaw, core::CacheCodec::kDeltaVarint}) {
-        SCOPED_TRACE(std::string("level=") + simd::to_string(level) +
-                     " chunks=" + std::to_string(chunks) +
-                     " codec=" + (codec == core::CacheCodec::kRaw ? "raw" : "delta"));
-        simd::set_active_level(level);
-        core::IngestOptions options;
-        options.scan_chunks = chunks;
-        options.cache_codec = codec;
-        options.cache_path = dir_ / ("matrix_" + std::to_string(combo++) + ".spc");
-        const auto cold = run(options);
+  for (const bool use_mmap : {true, false}) {
+    for (const std::size_t chunks :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
+      SCOPED_TRACE(std::string(use_mmap ? "mmap" : "stream") +
+                   " chunks=" + std::to_string(chunks));
+      core::IngestOptions options;
+      options.use_mmap = use_mmap;
+      options.scan_chunks = chunks;
+      options.cache_path = dir_ / ("matrix_" + std::to_string(combo++) + ".spc");
+      const auto cold = run(options);
 
-        EXPECT_FALSE(cold.result.from_cache);
-        EXPECT_EQ(cold.result.frames, reference.result.frames);
-        EXPECT_EQ(cold.result.status, reference.result.status);
-        if (chunks > 1) EXPECT_GT(cold.result.chunks, 1u);
-        expect_same_probes(cold.probes, reference.probes);
-        expect_same_sensor(cold.result.sensor, reference.result.sensor);
+      EXPECT_FALSE(cold.result.from_cache);
+      EXPECT_EQ(cold.result.frames, reference.result.frames);
+      EXPECT_EQ(cold.result.status, reference.result.status);
+      if (chunks > 1) EXPECT_GT(cold.result.chunks, 1u);
+      expect_same_probes(cold.probes, reference.probes);
+      expect_same_sensor(cold.result.sensor, reference.result.sensor);
 
-        const auto bytes = slurp(options.cache_path);
-        ASSERT_FALSE(bytes.empty());
-        const auto [it, inserted] = cache_bytes.emplace(codec, bytes);
-        EXPECT_TRUE(inserted || it->second == bytes)
-            << "cache bytes differ from the first " << (codec == core::CacheCodec::kRaw ? "raw" : "delta")
-            << " file: the .spc is not path-independent";
+      const auto bytes = slurp(options.cache_path);
+      ASSERT_FALSE(bytes.empty());
+      if (first_cache.empty()) first_cache = bytes;
+      EXPECT_TRUE(bytes == first_cache)
+          << "cache bytes differ from the first run's: the .spc is not "
+             "path-independent";
 
-        // And the warm read of what this combo wrote round-trips.
-        const auto warm = run(options);
-        EXPECT_TRUE(warm.result.from_cache);
-        expect_same_probes(warm.probes, reference.probes);
-        expect_same_sensor(warm.result.sensor, reference.result.sensor);
-      }
+      // And the warm read of what this run wrote round-trips.
+      const auto warm = run(options);
+      EXPECT_TRUE(warm.result.from_cache);
+      expect_same_probes(warm.probes, reference.probes);
+      expect_same_sensor(warm.result.sensor, reference.result.sensor);
     }
   }
-  EXPECT_NE(cache_bytes[core::CacheCodec::kRaw],
-            cache_bytes[core::CacheCodec::kDeltaVarint]);
+}
+
+TEST_F(IngestMatrix, RetiredCacheLayoutsAreRescannedAndRewritten) {
+  const auto spc = dir_ / "layout.spc";
+  core::IngestOptions options;
+  options.cache_path = spc;
+  const auto cold = run(options);
+  ASSERT_FALSE(cold.result.from_cache);
+  const auto current = slurp(spc);
+  const auto identity = core::cache_identity(capture_);
+  ASSERT_TRUE(identity.has_value());
+
+  // A v1 file and a v2 file with the raw codec hold the right probes
+  // with valid framing and checksum: only the version/codec gate turns
+  // them away, and ingest must then rescan and rewrite the current v2.
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    write_raw_layout(spc, version, *identity, cold);
+    EXPECT_FALSE(core::ProbeCacheReader::open(spc, *identity).has_value());
+    EXPECT_NE(core::cache_verify(spc, identity).error.find(version == 1 ? "version"
+                                                                        : "codec"),
+              std::string::npos);
+
+    const auto rescanned = run(options);
+    EXPECT_FALSE(rescanned.result.from_cache);
+    expect_same_probes(rescanned.probes, cold.probes);
+    expect_same_sensor(rescanned.result.sensor, cold.result.sensor);
+    EXPECT_TRUE(slurp(spc) == current) << "rewritten cache is not the current v2";
+    EXPECT_TRUE(core::cache_verify(spc, identity).ok);
+
+    const auto warm = run(options);
+    EXPECT_TRUE(warm.result.from_cache);
+    expect_same_probes(warm.probes, cold.probes);
+  }
 }
 
 TEST_F(IngestMatrix, CorruptCacheFallsBackToRescanAndRewrites) {

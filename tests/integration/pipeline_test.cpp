@@ -81,8 +81,7 @@ TEST(PipelineIntegration, ObserversSeeExactlyTheProbes) {
 
 TEST(PipelineIntegration, PcapRoundTripPreservesAnalysis) {
   namespace fs = std::filesystem;
-  const auto dir = fs::temp_directory_path() / "synscan_integration";
-  fs::create_directories(dir);
+  const auto dir = testing::scratch_dir();
   const auto path = dir / "window.pcap";
 
   // Pass 1: generate straight into the pipeline AND onto disk.

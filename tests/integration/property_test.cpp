@@ -9,6 +9,7 @@
 #include "pcap/pcap.h"
 #include "simgen/generator.h"
 #include "simgen/rng.h"
+#include "test_support.h"
 
 namespace synscan {
 namespace {
@@ -114,11 +115,11 @@ TEST_P(PcapPropertyTest, ArbitraryFramesRoundTrip) {
     for (auto& b : frame.bytes) b = static_cast<std::uint8_t>(rng.next_u64());
     frames.push_back(std::move(frame));
   }
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("synscan_prop_" + std::to_string(GetParam()) + ".pcap");
+  const auto dir = testing::scratch_dir();
+  const auto path = dir / "frames.pcap";
   pcap::write_file(path, frames);
   const auto [read, status] = pcap::read_file(path);
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
   ASSERT_EQ(status, pcap::ReadStatus::kEndOfFile);
   ASSERT_EQ(read.size(), frames.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {

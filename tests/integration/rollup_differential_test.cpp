@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "pcap/pcap.h"
 #include "report/json.h"
 #include "simgen/generator.h"
+#include "test_support.h"
 
 namespace synscan {
 namespace {
@@ -69,12 +71,57 @@ std::string report_bytes(const core::AnalyzedCapture& analysis) {
   return out;
 }
 
+/// Writes `frames` as a little-endian pcapng file: one section, one
+/// Ethernet interface at the default microsecond resolution, one
+/// Enhanced Packet Block per frame.
+void write_pcapng(const fs::path& path, const std::vector<net::RawFrame>& frames) {
+  std::vector<std::uint8_t> bytes;
+  const auto u16 = [&bytes](std::uint16_t v) {
+    for (int i = 0; i < 2; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  const auto u32 = [&bytes](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  // Section Header Block: magic, version 1.0, unknown section length.
+  u32(0x0A0D0D0A);
+  u32(28);
+  u32(0x1A2B3C4D);
+  u16(1);
+  u16(0);
+  u32(0xffffffff);
+  u32(0xffffffff);
+  u32(28);
+  // Interface Description Block: LINKTYPE_ETHERNET, no options.
+  u32(1);
+  u32(20);
+  u16(1);
+  u16(0);
+  u32(65535);
+  u32(20);
+  for (const auto& frame : frames) {
+    const auto padded = (frame.bytes.size() + 3) / 4 * 4;
+    const auto total = static_cast<std::uint32_t>(32 + padded);
+    const auto ticks = static_cast<std::uint64_t>(frame.timestamp_us);
+    u32(6);
+    u32(total);
+    u32(0);  // interface id
+    u32(static_cast<std::uint32_t>(ticks >> 32));
+    u32(static_cast<std::uint32_t>(ticks));
+    u32(static_cast<std::uint32_t>(frame.bytes.size()));
+    u32(static_cast<std::uint32_t>(frame.bytes.size()));
+    bytes.insert(bytes.end(), frame.bytes.begin(), frame.bytes.end());
+    bytes.resize(bytes.size() + padded - frame.bytes.size(), 0);
+    u32(total);
+  }
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 class RollupDifferential : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_rollup_differential";
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
     whole_ = dir_ / "whole.pcap";
 
     auto writer = pcap::Writer::create(whole_);
@@ -194,6 +241,38 @@ TEST_F(RollupDifferential, IncrementalStorePathStaysByteIdentical) {
   EXPECT_EQ(incremental.stats.store_misses, 1u);
   EXPECT_EQ(incremental.stats.store_writes, 1u);
   EXPECT_EQ(report_bytes(incremental.analysis), reference);
+}
+
+TEST_F(RollupDifferential, PcapngShardsPlanInCaptureTimeOrder) {
+  core::IngestOptions ingest;
+  ingest.use_cache = false;
+  const auto whole = core::analyze_capture(whole_, test_telescope(),
+                                           enrich::InternetRegistry::synthetic_default(),
+                                           1, ingest);
+  const auto reference = report_bytes(whole);
+
+  // Two pcapng shards whose path order is the reverse of their time
+  // order: planning must peek each one's first packet, not sort by name.
+  const auto [frames, status] = pcap::read_file(whole_);
+  ASSERT_EQ(status, pcap::ReadStatus::kEndOfFile);
+  ASSERT_GT(frames.size(), 2u);
+  const auto half = static_cast<std::ptrdiff_t>(frames.size() / 2);
+  const auto early = dir_ / "b_early.pcapng";
+  const auto late = dir_ / "a_late.pcapng";
+  write_pcapng(early, {frames.begin(), frames.begin() + half});
+  write_pcapng(late, {frames.begin() + half, frames.end()});
+
+  const std::vector<fs::path> captures{late, early};
+  const auto plan = core::plan_shards(captures);
+  ASSERT_EQ(plan.shards.size(), 2u);
+  EXPECT_EQ(plan.shards[0].capture, early);
+  EXPECT_EQ(plan.shards[0].first_timestamp_us, frames.front().timestamp_us);
+  EXPECT_EQ(plan.shards[1].first_timestamp_us,
+            frames[static_cast<std::size_t>(half)].timestamp_us);
+
+  const auto merged = run(captures, false, 2);
+  EXPECT_EQ(report_bytes(merged.analysis), reference);
+  EXPECT_EQ(merged.analysis.frames, whole.frames);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "net/endian.h"
+#include "test_support.h"
 
 namespace synscan::pcap {
 namespace {
@@ -17,14 +18,7 @@ namespace fs = std::filesystem;
 class MappedReaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases as parallel processes, so a
-    // shared directory would let one case's TearDown delete another's
-    // capture mid-read.
-    dir_ = fs::temp_directory_path() /
-           (std::string("synscan_mapped_reader_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
   }
   void TearDown() override { fs::remove_all(dir_); }
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "net/endian.h"
+#include "test_support.h"
 
 namespace synscan::pcap {
 namespace {
@@ -16,8 +17,7 @@ namespace fs = std::filesystem;
 class PcapTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_pcap_test";
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
   }
   void TearDown() override { fs::remove_all(dir_); }
 

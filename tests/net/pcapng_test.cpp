@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "net/endian.h"
+#include "test_support.h"
 
 namespace synscan::pcap {
 namespace {
@@ -112,8 +113,7 @@ class NgBuilder {
 class PcapngTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "synscan_pcapng_test";
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir();
   }
   void TearDown() override { fs::remove_all(dir_); }
   [[nodiscard]] fs::path path(const char* name) const { return dir_ / name; }

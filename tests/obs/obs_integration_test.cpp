@@ -124,7 +124,8 @@ TEST_F(ObsIntegration, ParallelAnalyzerPublishesWorkerMetrics) {
 }
 
 TEST_F(ObsIntegration, PcapReaderCountsFramesAndBytes) {
-  const auto path = std::filesystem::temp_directory_path() / "synscan_obs_test.pcap";
+  const auto dir = testing::scratch_dir();
+  const auto path = dir / "frames.pcap";
   std::vector<net::RawFrame> frames;
   for (int i = 0; i < 32; ++i) {
     frames.push_back({static_cast<net::TimeUs>(i) * 1000,
@@ -136,7 +137,7 @@ TEST_F(ObsIntegration, PcapReaderCountsFramesAndBytes) {
 
   auto reader = pcap::Reader::open(path);
   const auto [read, status] = reader.read_all();
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
 
   ASSERT_EQ(status, pcap::ReadStatus::kEndOfFile);
   EXPECT_EQ(global_counter("pcap.frames"), frames.size());

@@ -6,12 +6,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <unistd.h>
 
 #include "net/packet.h"
 #include "pcap/pcap.h"
 #include "simgen/rng.h"
 #include "telescope/telescope.h"
+#include "test_support.h"
 
 namespace synscan::testing {
 
@@ -63,15 +63,12 @@ inline void write_server_capture(const std::filesystem::path& path,
   writer.flush();
 }
 
-/// A fresh scratch directory unique to this call (tests may run in
-/// parallel across processes, so the pid is part of the name).
+/// A fresh scratch directory unique to this call: `scratch_dir` names
+/// it per test case and process, and the counter separates several
+/// dirs (e.g. daemon harnesses) inside one case.
 inline std::filesystem::path make_scratch_dir(const std::string& tag) {
   static std::atomic<unsigned> counter{0};
-  auto dir = std::filesystem::temp_directory_path() /
-             ("synscan_server_" + tag + "_" + std::to_string(::getpid()) + "_" +
-              std::to_string(counter.fetch_add(1)));
-  std::filesystem::create_directories(dir);
-  return dir;
+  return scratch_dir(tag + "_" + std::to_string(counter.fetch_add(1)));
 }
 
 }  // namespace synscan::testing

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "net/endian.h"
-#include "telescope/simd.h"
 #include "test_support.h"
 
 namespace synscan::telescope {
@@ -39,18 +38,6 @@ TEST(ProbeBatch, PushBackGetRoundTrip) {
   batch.clear();
   EXPECT_TRUE(batch.empty());
 }
-
-/// Restores the SIMD dispatch level a test overrode.
-class SimdLevelGuard {
- public:
-  SimdLevelGuard() : saved_(simd::active_level()) {}
-  ~SimdLevelGuard() { simd::set_active_level(saved_); }
-  SimdLevelGuard(const SimdLevelGuard&) = delete;
-  SimdLevelGuard& operator=(const SimdLevelGuard&) = delete;
-
- private:
-  simd::SimdLevel saved_;
-};
 
 class ClassifyBatchDifferential : public ::testing::Test {
  protected:
@@ -89,8 +76,7 @@ class ClassifyBatchDifferential : public ::testing::Test {
   net::Ipv4Address dark_dst() { return net::Ipv4Address::from_octets(203, 0, 113, 7); }
   net::Ipv4Address src() { return net::Ipv4Address::from_octets(93, 184, 216, 34); }
 
-  /// One frame of every sensor class — the decision-table sweep shared
-  /// by the per-level differential runs.
+  /// One frame of every sensor class — the decision-table sweep.
   std::vector<net::RawFrame> class_sweep_frames();
 
   Telescope telescope_;
@@ -132,57 +118,6 @@ std::vector<net::RawFrame> ClassifyBatchDifferential::class_sweep_frames() {
 
 TEST_F(ClassifyBatchDifferential, EveryFrameClassMatches) {
   expect_equivalent(class_sweep_frames());
-}
-
-TEST_F(ClassifyBatchDifferential, EveryCompiledSimdLevelMatchesScalarReference) {
-  // The per-frame `classify` reference inside expect_equivalent is
-  // always scalar, so forcing each dispatch tier turns the existing
-  // differential into a kernel-vs-reference matrix. Requests above what
-  // the host can run are clamped, so this passes (vacuously narrower)
-  // everywhere.
-  const SimdLevelGuard guard;
-  for (const auto level : {simd::SimdLevel::kScalar, simd::SimdLevel::kSse2,
-                           simd::SimdLevel::kAvx2}) {
-    simd::set_active_level(level);
-    SCOPED_TRACE(simd::to_string(simd::active_level()));
-    auto frames = class_sweep_frames();
-    // Long uniform probe runs fill complete 4/8-wide lane groups; the
-    // sweep's irregular frames force groups to break, flush scalar and
-    // reform mid-batch.
-    for (std::uint32_t i = 0; i < 64; ++i) {
-      frames.push_back({static_cast<net::TimeUs>(100 + i),
-                        testing::syn_frame(src(), dark_dst(),
-                                           static_cast<std::uint16_t>(80 + i % 3))});
-    }
-    expect_equivalent(frames);
-  }
-}
-
-TEST_F(ClassifyBatchDifferential, SimdRowsCountOnlyVectorResolvedFrames) {
-  const SimdLevelGuard guard;
-  std::vector<net::RawFrame> frames;
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    frames.push_back({static_cast<net::TimeUs>(i),
-                      testing::syn_frame(src(), dark_dst(), 80)});
-  }
-  std::vector<net::FrameView> views;
-  views.reserve(frames.size());
-  for (const auto& frame : frames) views.push_back(net::as_view(frame));
-
-  simd::set_active_level(simd::SimdLevel::kScalar);
-  Sensor scalar(telescope_);
-  ProbeBatch scalar_batch;
-  (void)scalar.classify_batch(views, scalar_batch);
-  EXPECT_EQ(scalar.simd_rows(), 0u);
-
-  if (simd::detected_level() != simd::SimdLevel::kScalar) {
-    simd::set_active_level(simd::detected_level());
-    Sensor vectored(telescope_);
-    ProbeBatch vector_batch;
-    (void)vectored.classify_batch(views, vector_batch);
-    EXPECT_GT(vectored.simd_rows(), 0u);
-    EXPECT_EQ(vector_batch.size(), scalar_batch.size());
-  }
 }
 
 TEST_F(ClassifyBatchDifferential, MutatedFramesNeverDiverge) {

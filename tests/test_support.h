@@ -1,7 +1,13 @@
 // Shared helpers for the test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/packet.h"
@@ -68,6 +74,38 @@ inline std::vector<std::uint8_t> syn_frame(net::Ipv4Address src, net::Ipv4Addres
   spec.sequence = 42;
   spec.flags = flags;
   return net::build_tcp_frame(spec);
+}
+
+/// A fresh, empty scratch directory for the running test case, named
+/// from its suite, its test name, an optional `tag` (for a second dir in
+/// one case) and the process id. ctest runs every case as its own
+/// process, possibly in parallel, so a fixed name would let one case's
+/// clean-up delete a sibling's files. The caller removes the directory.
+inline std::filesystem::path scratch_dir(std::string_view tag = {}) {
+  // Outside a test body (SetUpTestSuite) there is no test info; the
+  // suite name alone is then unique among this suite's processes.
+  const auto& unit = *::testing::UnitTest::GetInstance();
+  const auto* info = unit.current_test_info();
+  const auto* suite = unit.current_test_suite();
+  std::string name = "synscan_";
+  name += info != nullptr    ? info->test_suite_name()
+          : suite != nullptr ? suite->name()
+                             : "global";
+  name += '_';
+  name += info != nullptr ? info->name() : "suite";
+  if (!tag.empty()) {
+    name += '_';
+    name += tag;
+  }
+  name += '_' + std::to_string(::getpid());
+  // Parameterized names carry '/' (e.g. "Seeds/Suite", "Case/0").
+  for (auto& c : name) {
+    if (c == '/') c = '_';
+  }
+  auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 }  // namespace synscan::testing

@@ -34,6 +34,11 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and examples):
                       SYNSCAN_GUARDED_BY / SYNSCAN_PT_GUARDED_BY (locks,
                       condvars, atomics and threads are exempt) — or an
                       allow() naming the out-of-band exclusion.
+  temp-dir-literal    no std::filesystem::temp_directory_path() in tests/
+                      outside tests/test_support.h: scratch space comes
+                      from its scratch_dir(), which names the dir per
+                      test case and process so parallel ctest cases
+                      never share (and delete) each other's files.
 
 Suppression: append `// synscan-lint: allow(<rule>[, <rule>...])` to the
 offending line (or put it on a comment line directly above), or add
@@ -65,6 +70,8 @@ NAKED_NEW_DIRS = ("src", "bench", "examples")
 HEADER_DIRS = ("src", "tests", "bench", "examples")
 INCLUDE_ORDER_DIRS = ("src",)
 SKIP_DIR_NAMES = {".git", "testdata", "fixtures"}
+TEMP_DIR_DIRS = ("tests",)
+TEMP_DIR_HELPER = "tests/test_support.h"
 
 BANNED_CONTAINERS = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|"
@@ -84,6 +91,8 @@ METRIC_FRAGMENT = re.compile(
 DOC_METRIC = re.compile(r"`([a-z]+(?:\.[a-z0-9_]+)+)`")
 
 NEW_DELETE = re.compile(r"\b(new|delete)\b")
+
+TEMP_DIR_CALL = re.compile(r"\btemp_directory_path\s*\(")
 
 RAW_SYNC = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
@@ -120,6 +129,7 @@ RULES = (
     "test-registration",
     "raw-sync-primitive",
     "guarded-by",
+    "temp-dir-literal",
 )
 
 
@@ -581,6 +591,24 @@ class Linter:
                         "disjointness)",
                     )
 
+    # --- temp-dir-literal --------------------------------------------------
+
+    def check_temp_dir_literal(self):
+        for path in self.files_under(TEMP_DIR_DIRS, {".h", ".cpp"}):
+            source = self.load(path)
+            if source.rel == TEMP_DIR_HELPER:
+                continue  # the helper that names dirs per test case
+            for number, line in enumerate(source.stripped_lines, start=1):
+                if TEMP_DIR_CALL.search(line):
+                    self.emit(
+                        source,
+                        number,
+                        "temp-dir-literal",
+                        "temp_directory_path() in a test — use "
+                        "testing::scratch_dir() from tests/test_support.h so "
+                        "parallel ctest cases never share a scratch dir",
+                    )
+
     # --- test-registration -------------------------------------------------
 
     def check_test_registration(self):
@@ -621,6 +649,7 @@ class Linter:
             "test-registration": self.check_test_registration,
             "raw-sync-primitive": self.check_raw_sync_primitive,
             "guarded-by": self.check_guarded_by,
+            "temp-dir-literal": self.check_temp_dir_literal,
         }
         for rule in rules:
             dispatch[rule]()

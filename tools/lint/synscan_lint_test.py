@@ -29,6 +29,7 @@ EXPECTED = {
     "test-registration": 2,   # orphan_test.cpp + missing gone_test.cpp
     "raw-sync-primitive": 4,  # locking.cpp: 2 includes, member, lock_guard
     "guarded-by": 2,          # guarded.h: open_ + draining_ unannotated
+    "temp-dir-literal": 2,    # scratch_paths.cpp: two temp_directory_path() calls
 }
 
 
