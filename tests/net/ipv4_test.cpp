@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 namespace synscan::net {
@@ -35,7 +36,16 @@ TEST(Ipv4Address, ParseBoundaryValues) {
 struct ParseCase {
   const char* text;
   bool valid;
+  // Name of this case's ctest entry: gtest_discover_tests names a
+  // parameterized case after its printed parameter. The cases were first
+  // discovered without a printer, so their names were the struct's raw bytes,
+  // string pointer included, which ASLR changes in every build. The labels keep
+  // the names one such build gave, so test lists recorded from it still name
+  // each case and every later build names them the same.
+  const char* label;
 };
+
+void PrintTo(const ParseCase& c, std::ostream* os) { *os << c.label; }
 
 class Ipv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 
@@ -46,14 +56,22 @@ TEST_P(Ipv4ParseTest, AcceptsExactlyWellFormedInput) {
 
 INSTANTIATE_TEST_SUITE_P(
     Syntax, Ipv4ParseTest,
-    ::testing::Values(ParseCase{"1.2.3.4", true}, ParseCase{"001.002.003.004", true},
-                      ParseCase{"256.1.1.1", false}, ParseCase{"1.2.3", false},
-                      ParseCase{"1.2.3.4.5", false}, ParseCase{"", false},
-                      ParseCase{"1..2.3", false}, ParseCase{"a.b.c.d", false},
-                      ParseCase{"1.2.3.4 ", false}, ParseCase{" 1.2.3.4", false},
-                      ParseCase{"-1.2.3.4", false}, ParseCase{"1.2.3.+4", false},
-                      ParseCase{"1.2.3.999", false}, ParseCase{"1.2.3.4x", false},
-                      ParseCase{"0000.1.1.1", false}));
+    ::testing::Values(
+        ParseCase{"1.2.3.4", true, "16-byte object <47-10 C9-CC 82-55 00-00 01-00 00-"},
+        ParseCase{"001.002.003.004", true, "16-byte object <04-10 C9-CC 82-55 00-00 01-00 00-"},
+        ParseCase{"256.1.1.1", false, "16-byte object <14-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{"1.2.3", false, "16-byte object <1E-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{"1.2.3.4.5", false, "16-byte object <24-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{"", false, "16-byte object <C8-1C C9-CC 82-55 00-00 00-69 73-"},
+        ParseCase{"1..2.3", false, "16-byte object <2E-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{"a.b.c.d", false, "16-byte object <35-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{"1.2.3.4 ", false, "16-byte object <3D-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{" 1.2.3.4", false, "16-byte object <46-10 C9-CC 82-55 00-00 00-00 04-"},
+        ParseCase{"-1.2.3.4", false, "16-byte object <4F-10 C9-CC 82-55 00-00 00-FF 70-"},
+        ParseCase{"1.2.3.+4", false, "16-byte object <58-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{"1.2.3.999", false, "16-byte object <61-10 C9-CC 82-55 00-00 00-00 00-"},
+        ParseCase{"1.2.3.4x", false, "16-byte object <6B-10 C9-CC 82-55 00-00 00-00 04-"},
+        ParseCase{"0000.1.1.1", false, "16-byte object <74-10 C9-CC 82-55 00-00 00-DA 55-"}));
 
 TEST(Ipv4Address, RoundTripsThroughString) {
   for (const std::uint32_t value : {0u, 1u, 0x01020304u, 0xc0a80101u, 0xffffffffu}) {
