@@ -225,9 +225,7 @@ void fill_result(PathResult& result, core::PipelineResult pipeline_result,
   result.port_packets = ports.total_packets();
   result.type_sources = types.total_sources();
   result.geo_packets = geo.total_packets();
-  std::ostringstream jsonl;
-  report::write_campaigns_jsonl(jsonl, pipeline_result.campaigns);
-  result.campaigns_jsonl = jsonl.str();
+  report::append_campaigns_jsonl(result.campaigns_jsonl, pipeline_result.campaigns);
 }
 
 /// Per-probe reference: every row materialized, observers on `on_probe`.

@@ -5,7 +5,8 @@
 // capture, so a single record carries its own baseline:
 //   pre        — the original path: pcap::Reader (buffered istream, one
 //                byte-vector copy per record) + per-frame
-//                Sensor::classify through decode_frame;
+//                Sensor::classify, which runs classify_raw one frame
+//                at a time;
 //   mmap_batch — core::ingest_capture with the cache off: fused
 //                chunked scan + scalar batch classify, SoA ProbeBatch;
 //   cache_warm — core::ingest_capture over the .spc probe cache the

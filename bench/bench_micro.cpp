@@ -14,6 +14,7 @@
 #include "simgen/permute.h"
 #include "simgen/rng.h"
 #include "simgen/wire.h"
+#include "telescope/probe_batch.h"
 #include "telescope/sensor.h"
 
 namespace {
@@ -181,10 +182,19 @@ void BM_ParallelPipeline(benchmark::State& state) {
   const auto telescope = telescope::Telescope::paper_default();
   const auto frames = sample_frames(4096);
   const auto workers = static_cast<std::size_t>(state.range(0));
+  std::vector<net::FrameView> views;
+  views.reserve(frames.size());
+  for (const auto& frame : frames) views.push_back(net::as_view(frame));
+  telescope::ProbeBatch batch;
   for (auto unused : state) {
     (void)unused;
+    // The CLI's shape: classify on the feeder, slice probes to workers.
     core::ParallelAnalyzer analyzer(telescope, workers);
-    for (const auto& frame : frames) analyzer.feed_frame(frame);
+    telescope::Sensor sensor(telescope);
+    batch.clear();
+    (void)sensor.classify_batch(views, batch);
+    analyzer.feed_probes(batch);
+    analyzer.absorb_sensor_counters(sensor.counters());
     benchmark::DoNotOptimize(analyzer.finish());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frames.size()));

@@ -48,7 +48,7 @@ echo "== synscand smoke"
 # Daemon end to end: serve the capture analyzed above, drive the full
 # command set through the query client, and check the daemon's QUERY
 # output is byte-identical to the offline analyze --json export
-# (docs/SYNSCAND.md). Worker counts must match for the comparison.
+# (docs/SYNSCAND.md). The bytes do not depend on the worker count.
 sock="${workdir}/synscand.sock"
 "${cli}" analyze "${workdir}/window.pcap" --workers=2 \
   --json="${workdir}/offline.jsonl" > /dev/null

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -34,18 +35,28 @@
 namespace synscan::cli {
 namespace {
 
+/// The ingest switches (see `ingest_options`).
+constexpr std::string_view kIngestFlags[] = {"no-probe-cache", "no-mmap", "scan-chunks"};
+
 /// Minimal flag parser: "--key=value" flags plus positional arguments.
+/// Each command names the flags it reads (`known`, plus the ingest
+/// switches when `ingest` is set); any other flag is rejected, so a
+/// misspelt or retired option fails instead of running with defaults.
 class Args {
  public:
-  explicit Args(const std::vector<std::string>& raw) {
+  Args(const std::vector<std::string>& raw, std::initializer_list<std::string_view> known,
+       bool ingest = false) {
     for (const auto& arg : raw) {
       if (arg.rfind("--", 0) == 0) {
         const auto eq = arg.find('=');
-        if (eq == std::string::npos) {
-          flags_[arg.substr(2)] = "true";
-        } else {
-          flags_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+        const auto key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+        const auto listed = [&key](const auto& names) {
+          return std::ranges::find(names, key) != std::ranges::end(names);
+        };
+        if (!listed(known) && !(ingest && listed(kIngestFlags))) {
+          throw std::invalid_argument("unknown flag '--" + key + "'");
         }
+        flags_[key] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
       } else {
         positional_.push_back(arg);
       }
@@ -117,7 +128,7 @@ void warn_on_truncation(const core::AnalyzedCapture& analysis) {
 }  // namespace
 
 int run_simulate(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  const Args parsed(args, {"year", "scale", "out", "seed", "days"});
   const int year = static_cast<int>(parsed.number("year", 2022));
   const double scale = parsed.number("scale", 32.0);
   const auto out = parsed.flag("out");
@@ -146,7 +157,7 @@ int run_simulate(const std::vector<std::string>& args) {
 }
 
 int run_analyze(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  const Args parsed(args, {"top", "json", "workers", "metrics"}, true);
   if (parsed.positional().empty()) {
     throw std::invalid_argument("analyze requires a capture path");
   }
@@ -239,7 +250,10 @@ int run_analyze(const std::vector<std::string>& args) {
 }
 
 int run_serve(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  const Args parsed(args,
+                    {"metrics", "socket", "port", "workers", "io-workers",
+                     "idle-timeout-ms", "poll", "capture"},
+                    true);
   // `--metrics` must precede daemon construction: the server resolves
   // its metric cells once, in the constructor.
   const bool metrics = parsed.flag("metrics").has_value();
@@ -254,8 +268,8 @@ int run_serve(const std::vector<std::string>& args) {
   if (config.unix_socket.empty() && !config.tcp) {
     throw std::invalid_argument("serve requires --socket=<path> and/or --port=<n>");
   }
-  // `--workers` matches analyze's flag on purpose: query bytes are only
-  // comparable across the two when the analysis worker count matches.
+  // `--workers` matches analyze's flag on purpose. It sets speed only:
+  // query bytes equal `analyze --json` bytes at any worker count.
   config.analysis_workers = static_cast<std::size_t>(
       parsed.number("workers", static_cast<double>(default_workers())));
   config.workers = static_cast<std::size_t>(parsed.number("io-workers", 2));
@@ -289,7 +303,7 @@ int run_serve(const std::vector<std::string>& args) {
 }
 
 int run_query(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  const Args parsed(args, {"socket", "port", "host"});
   const auto socket = parsed.flag("socket");
   const auto port = parsed.flag("port");
   if (!socket && !port) {
@@ -320,7 +334,7 @@ int run_query(const std::vector<std::string>& args) {
 }
 
 int run_fingerprint(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  const Args parsed(args, {}, true);
   if (parsed.positional().empty()) {
     throw std::invalid_argument("fingerprint requires a capture path");
   }
@@ -355,7 +369,7 @@ int run_fingerprint(const std::vector<std::string>& args) {
 }
 
 int run_info(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  const Args parsed(args, {});
   if (parsed.positional().empty()) {
     throw std::invalid_argument("info requires a capture path");
   }
@@ -606,7 +620,7 @@ int run_rollup_query(const Args& parsed, std::span<const std::string> captures) 
 }  // namespace
 
 int run_rollup(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  const Args parsed(args, {"workers", "json", "no-rollup-store"}, true);
   const auto& positional = parsed.positional();
   if (positional.empty()) {
     throw std::invalid_argument("rollup requires a subcommand: build | stat | query");
@@ -625,7 +639,9 @@ int run_rollup(const std::vector<std::string>& args) {
 }
 
 int run_cache(const std::vector<std::string>& args) {
-  const Args parsed(args);
+  // `cache build` always writes the cache, so --no-probe-cache is not
+  // among its ingest switches.
+  const Args parsed(args, {"capture", "out", "force", "no-mmap", "scan-chunks"});
   const auto& positional = parsed.positional();
   if (positional.empty()) {
     throw std::invalid_argument("cache requires a subcommand: stat | verify | build");

@@ -28,6 +28,9 @@
 //   synscan rollup build|stat|query <captures...> [--workers=N] [--json=file]
 //       Sharded multi-capture analysis over the .spr rollup store:
 //       analyze each capture once, answer from merged rollups after.
+//
+// Every command rejects flags it does not read; `synscan help` lists
+// them all.
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -49,23 +52,31 @@ void print_usage(std::ostream& os) {
         "  query        send one command to a running synscand\n"
         "  cache        probe-cache (.spc) maintenance: stat | verify | build\n"
         "  rollup       sharded multi-capture analysis: build | stat | query\n"
-        "\ncommon options:\n"
-        "  simulate: --year=<2015..2024> --out=<file> [--scale=<x>] [--seed=<n>]\n"
-        "            [--days=<n>]\n"
-        "  analyze:  <capture.pcap> [--top=<n>] [--json=<file>] [--workers=<n>]\n"
-        "            [--metrics[=<file>]]   run report: ASCII table, or JSON\n"
-        "            with per-stage timings (docs/OBSERVABILITY.md)\n"
-        "  serve:    --socket=<path> and/or --port=<n> [--capture=<pcap>]\n"
-        "            [--workers=<n>] [--io-workers=<n>] [--idle-timeout-ms=<n>]\n"
-        "            [--poll] [--metrics]   protocol spec: docs/SYNSCAND.md\n"
-        "  query:    --socket=<path> | --port=<n> [--host=<ip>] <command...>\n"
-        "            e.g. PING | STATUS | LOAD <pcap> | QUERY analyze | SHUTDOWN\n"
-        "  cache:    stat <file.spc> | verify <file.spc> [--capture=<pcap>] |\n"
-        "            build <capture.pcap> [--out=<file.spc>] [--force]\n"
-        "            [--scan-chunks=<n>]\n"
-        "  rollup:   build|query <captures...> [--workers=<n>] [--json=<file>]\n"
-        "            [--no-rollup-store] | stat <file.spr>   (docs/ARCHITECTURE.md\n"
-        "            \"Rollup store\": merged reports match analyze --json bytes)\n";
+        "\noptions (any other flag is an error):\n"
+        "  simulate:    --year=<2015..2024> --out=<file> [--scale=<x>] [--seed=<n>]\n"
+        "               [--days=<n>]\n"
+        "  analyze:     <capture.pcap> [--top=<n>] [--json=<file>] [--workers=<n>]\n"
+        "               [--metrics[=<file>]] [ingest options]   run report: ASCII\n"
+        "               table, or JSON with per-stage timings (docs/OBSERVABILITY.md)\n"
+        "  fingerprint: <capture.pcap> [ingest options]\n"
+        "  info:        <capture.pcap>\n"
+        "  serve:       --socket=<path> and/or --port=<n> [--capture=<pcap>]\n"
+        "               [--workers=<n>] [--io-workers=<n>] [--idle-timeout-ms=<n>]\n"
+        "               [--poll] [--metrics] [ingest options]\n"
+        "               protocol spec: docs/SYNSCAND.md\n"
+        "  query:       --socket=<path> | --port=<n> [--host=<ip>] <command...>\n"
+        "               e.g. PING | STATUS | LOAD <pcap> | QUERY analyze | SHUTDOWN\n"
+        "  cache:       stat <file.spc> | verify <file.spc> [--capture=<pcap>] |\n"
+        "               build <capture.pcap> [--out=<file.spc>] [--force]\n"
+        "               [--no-mmap] [--scan-chunks=<n>]\n"
+        "  rollup:      build|query <captures...> [--workers=<n>] [--json=<file>]\n"
+        "               [--no-rollup-store] [ingest options] | stat <file.spr>\n"
+        "               (docs/ARCHITECTURE.md \"Rollup store\": merged reports\n"
+        "               match analyze --json bytes)\n"
+        "\ningest options:\n"
+        "  --no-probe-cache    neither read nor write the <capture>.spc probe cache\n"
+        "  --no-mmap           read the capture into memory instead of mapping it\n"
+        "  --scan-chunks=<n>   cold-scan threads (0 = one per core, 1 = serial)\n";
 }
 
 }  // namespace

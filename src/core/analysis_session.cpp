@@ -1,5 +1,6 @@
 #include "core/analysis_session.h"
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -14,39 +15,28 @@ AnalyzedCapture analyze_capture(const std::filesystem::path& path,
                                 const enrich::InternetRegistry& registry,
                                 std::size_t workers, const IngestOptions& options) {
   AnalyzedCapture analysis(registry);
+  // Classification happens once, on the ingest thread. The streaming
+  // observers (not thread-safe) consume each batch there in file order;
+  // campaign tracking runs serially or sharded by source across the
+  // workers, which receive row-index slices into a shared copy of the
+  // batch columns.
+  std::optional<Pipeline> serial;
+  std::optional<ParallelAnalyzer> parallel;
   if (workers <= 1) {
-    Pipeline pipeline(telescope);
-    pipeline.add_observer(analysis.ports);
-    pipeline.add_observer(analysis.types);
-    pipeline.add_observer(analysis.geo);
-
-    {
-      obs::ScopedTimer ingest("analyze.ingest");
-      const auto ingested = ingest_capture(
-          path, telescope, options,
-          [&](const telescope::ProbeBatch& batch) { pipeline.feed_probes(batch); });
-      pipeline.absorb_sensor_counters(ingested.sensor);
-      analysis.frames = ingested.frames;
-      analysis.final_status = ingested.status;
-      analysis.from_cache = ingested.from_cache;
-    }
-    const obs::ScopedTimer finish("analyze.finish");
-    analysis.result = pipeline.finish();
-    return analysis;
+    serial.emplace(telescope);
+  } else {
+    parallel.emplace(telescope, workers);
   }
-
-  // Multi-core replay: campaign tracking runs sharded by source across
-  // the workers (each worker receives row-index slices into a shared
-  // copy of the batch columns). Classification already happened once on
-  // the ingest thread, so the same batch drives both the workers and the
-  // (not thread-safe) streaming observers in file order.
-  ParallelAnalyzer analyzer(telescope, workers);
   std::vector<std::uint32_t> rows;
   {
     obs::ScopedTimer ingest("analyze.ingest");
     const auto ingested = ingest_capture(
         path, telescope, options, [&](const telescope::ProbeBatch& batch) {
-          analyzer.feed_probes(batch);
+          if (serial) {
+            serial->feed_probes(batch);
+          } else {
+            parallel->feed_probes(batch);
+          }
           const auto n = batch.size();
           if (rows.size() < n) {
             const auto old = static_cast<std::uint32_t>(rows.size());
@@ -59,13 +49,17 @@ AnalyzedCapture analyze_capture(const std::filesystem::path& path,
           analysis.types.observe_batch(batch, all);
           analysis.geo.observe_batch(batch, all);
         });
-    analyzer.absorb_sensor_counters(ingested.sensor);
+    if (serial) {
+      serial->absorb_sensor_counters(ingested.sensor);
+    } else {
+      parallel->absorb_sensor_counters(ingested.sensor);
+    }
     analysis.frames = ingested.frames;
     analysis.final_status = ingested.status;
     analysis.from_cache = ingested.from_cache;
   }
   const obs::ScopedTimer finish("analyze.finish");
-  analysis.result = analyzer.finish();
+  analysis.result = serial ? serial->finish() : parallel->finish();
   return analysis;
 }
 

@@ -42,9 +42,11 @@ struct AnalyzedCapture {
 };
 
 /// Replays `path` through the pipeline with all standard observers.
-/// `workers <= 1` runs the serial pipeline; otherwise campaign tracking
-/// is sharded by source across a `ParallelAnalyzer` while the streaming
-/// observers consume the same batches in file order on the feeder.
+/// One ingest loop feeds every worker count: the streaming observers
+/// consume each batch in file order on the ingest thread, and campaign
+/// tracking runs in a serial `Pipeline` (`workers <= 1`) or sharded by
+/// source across a `ParallelAnalyzer`. The report bytes do not depend
+/// on the worker count.
 /// The telescope and registry must outlive the returned value.
 [[nodiscard]] AnalyzedCapture analyze_capture(const std::filesystem::path& path,
                                               const telescope::Telescope& telescope,

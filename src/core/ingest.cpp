@@ -88,40 +88,12 @@ class FusedClassifier {
   }
 
  private:
-  /// Sizes every column to the window's worst case (all frames probes)
-  /// and points the cursor at the column bases; resize() keeps capacity
-  /// on a recycled batch, so steady state re-arms without allocating.
-  void arm_batch() {
-    batch_.timestamp_us.resize(batch_frames_);
-    batch_.source.resize(batch_frames_);
-    batch_.destination.resize(batch_frames_);
-    batch_.source_port.resize(batch_frames_);
-    batch_.destination_port.resize(batch_frames_);
-    batch_.sequence.resize(batch_frames_);
-    batch_.acknowledgment.resize(batch_frames_);
-    batch_.ip_id.resize(batch_frames_);
-    batch_.window.resize(batch_frames_);
-    batch_.ttl.resize(batch_frames_);
-    cursor_ = telescope::detail::ProbeCursor{
-        batch_.timestamp_us.data(), batch_.source.data(),
-        batch_.destination.data(),  batch_.source_port.data(),
-        batch_.destination_port.data(), batch_.sequence.data(),
-        batch_.acknowledgment.data(), batch_.ip_id.data(),
-        batch_.window.data(),       batch_.ttl.data()};
-  }
+  /// Sizes the columns to the window's worst case (all frames probes);
+  /// steady state re-arms a recycled batch without allocating.
+  void arm_batch() { cursor_ = telescope::detail::arm_cursor(batch_, 0, batch_frames_); }
 
   void flush_batch() {
-    const auto rows = cursor_.count;
-    batch_.timestamp_us.resize(rows);
-    batch_.source.resize(rows);
-    batch_.destination.resize(rows);
-    batch_.source_port.resize(rows);
-    batch_.destination_port.resize(rows);
-    batch_.sequence.resize(rows);
-    batch_.acknowledgment.resize(rows);
-    batch_.ip_id.resize(rows);
-    batch_.window.resize(rows);
-    batch_.ttl.resize(rows);
+    telescope::detail::resize_columns(batch_, cursor_.count);
     deliver_(batch_);
     window_frames_ = 0;
     arm_batch();

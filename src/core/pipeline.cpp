@@ -29,15 +29,6 @@ void Pipeline::feed_frame(const net::RawFrame& frame) {
   }
 }
 
-void Pipeline::feed_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame) {
-  if (obs_frames_ != nullptr) obs_frames_->add();
-  telescope::ScanProbe probe;
-  if (sensor_.classify_decoded(timestamp_us, frame, probe) ==
-      telescope::FrameClass::kScanProbe) {
-    feed_probe(probe);
-  }
-}
-
 void Pipeline::feed_probe(const telescope::ScanProbe& probe) {
   if (obs_probes_ != nullptr) obs_probes_->add();
   for (auto* observer : observers_) observer->on_probe(probe);

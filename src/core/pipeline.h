@@ -37,9 +37,6 @@ class Pipeline {
   /// Feeds one raw frame through sensor, observers and tracker.
   void feed_frame(const net::RawFrame& frame);
 
-  /// Feeds an already decoded frame (generator fast path).
-  void feed_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame);
-
   /// Feeds a probe that already passed a sensor (e.g. loaded from a
   /// probe log). Observers and tracker see it; sensor counters do not.
   void feed_probe(const telescope::ScanProbe& probe);

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <concepts>
 #include <cstdio>
-#include <ostream>
 #include <vector>
 
 #include "fingerprint/tool.h"
@@ -14,10 +13,8 @@ namespace {
 
 /// Appends JSON fields to a caller-owned string. Integers format via
 /// to_chars; doubles via printf "%g", which is byte-identical to the
-/// default ostream formatting the per-field writer used (defaultfloat at
-/// precision 6), so downstream diffs of existing reports stay empty.
-/// This is the string layer: the daemon serializes a report straight
-/// into a client's write buffer through it, no filesystem involved.
+/// default ostream formatting (defaultfloat at precision 6), so
+/// downstream diffs of existing reports stay empty.
 class Appender {
  public:
   explicit Appender(std::string& out) : out_(out) {}
@@ -41,37 +38,6 @@ class Appender {
 
  private:
   std::string& out_;
-};
-
-/// The stream layer: rows accumulate in one string and hit the stream in
-/// large writes instead of one operator<< (with its sentry and locale
-/// machinery) per field — like the `.spc` writer.
-class RowBuffer {
- public:
-  explicit RowBuffer(std::ostream& os) : os_(os) { buffer_.reserve(kFlushBytes + 512); }
-  ~RowBuffer() { flush(); }
-  RowBuffer(const RowBuffer&) = delete;
-  RowBuffer& operator=(const RowBuffer&) = delete;
-
-  [[nodiscard]] std::string& buffer() noexcept { return buffer_; }
-
-  /// Call between rows: flushes once the buffer is big enough that the
-  /// stream write cost is well amortized.
-  void maybe_flush() {
-    if (buffer_.size() >= kFlushBytes) flush();
-  }
-
-  void flush() {
-    if (buffer_.empty()) return;
-    os_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-
- private:
-  static constexpr std::size_t kFlushBytes = 64 * 1024;
-
-  std::ostream& os_;
-  std::string buffer_;
 };
 
 void append_campaign(Appender& out, const core::Campaign& campaign,
@@ -201,27 +167,6 @@ void append_campaigns_jsonl(std::string& out, std::span<const core::Campaign> ca
 void append_counters_json(std::string& out, const core::PipelineResult& result) {
   Appender appender(out);
   append_counters(appender, result);
-}
-
-void write_campaign_json(std::ostream& os, const core::Campaign& campaign,
-                         std::size_t max_ports) {
-  RowBuffer rows(os);
-  append_campaign_json(rows.buffer(), campaign, max_ports);
-}
-
-void write_campaigns_jsonl(std::ostream& os, std::span<const core::Campaign> campaigns,
-                           std::size_t max_ports) {
-  RowBuffer rows(os);
-  for (const auto& campaign : campaigns) {
-    append_campaign_json(rows.buffer(), campaign, max_ports);
-    rows.buffer().push_back('\n');
-    rows.maybe_flush();
-  }
-}
-
-void write_counters_json(std::ostream& os, const core::PipelineResult& result) {
-  RowBuffer rows(os);
-  append_counters_json(rows.buffer(), result);
 }
 
 }  // namespace synscan::report

@@ -46,10 +46,10 @@ struct DaemonConfig {
   /// Query worker threads (>= 1). Queries and LOADs run here; the event
   /// loop never blocks on them.
   std::size_t workers = 2;
-  /// Worker count passed to `core::analyze_capture` during LOAD. Keep
-  /// identical between daemon and offline runs when comparing report
-  /// bytes: the parallel merge orders campaigns deterministically, but
-  /// differently from the serial close order.
+  /// Worker count passed to `core::analyze_capture` during LOAD. Only
+  /// speed depends on it: serial and parallel runs emit campaigns in the
+  /// same canonical order, so report bytes match an offline run at any
+  /// worker count.
   std::size_t analysis_workers = 2;
   /// Close connections with no traffic and no pending responses after
   /// this long. 0 disables the sweep.

@@ -10,73 +10,30 @@
 namespace synscan::telescope {
 
 FrameClass Sensor::classify(const net::RawFrame& frame, ScanProbe& probe) {
-  const auto decoded = net::decode_frame(frame.bytes);
-  if (!decoded) {
-    ++counters_.malformed;
-    return FrameClass::kMalformed;
+  // A one-row cursor: the fields whose column type matches write straight
+  // into `probe`; the two addresses go through locals.
+  std::uint32_t source = 0;
+  std::uint32_t destination = 0;
+  detail::ProbeCursor row{&probe.timestamp_us, &source,        &destination,
+                          &probe.source_port,  &probe.destination_port,
+                          &probe.sequence,     &probe.acknowledgment,
+                          &probe.ip_id,        &probe.window,  &probe.ttl};
+  const auto verdict =
+      detail::classify_raw(*telescope_, frame.timestamp_us, frame.bytes, counters_, row);
+  if (verdict == FrameClass::kScanProbe) {
+    probe.source = net::Ipv4Address(source);
+    probe.destination = net::Ipv4Address(destination);
   }
-  return classify_decoded(frame.timestamp_us, *decoded, probe);
-}
-
-FrameClass Sensor::classify_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame,
-                                    ScanProbe& probe) {
-  if (!telescope_->monitors(frame.ip.destination)) {
-    ++counters_.not_monitored;
-    return FrameClass::kNotMonitored;
-  }
-
-  if (const auto* tcp = frame.tcp()) {
-    if (telescope_->ingress_blocked(tcp->destination_port, timestamp_us)) {
-      ++counters_.ingress_blocked;
-      return FrameClass::kIngressBlocked;
-    }
-    if (tcp->is_xmas() || tcp->is_null()) {
-      ++counters_.xmas_or_null;
-      return FrameClass::kXmasOrNull;
-    }
-    if (tcp->is_syn_probe()) {
-      if (frame.ip.source.is_reserved_source() || frame.ip.source.is_private()) {
-        ++counters_.spoofed_source;
-        return FrameClass::kSpoofedSource;
-      }
-      probe.timestamp_us = timestamp_us;
-      probe.source = frame.ip.source;
-      probe.destination = frame.ip.destination;
-      probe.source_port = tcp->source_port;
-      probe.destination_port = tcp->destination_port;
-      probe.sequence = tcp->sequence;
-      probe.acknowledgment = tcp->acknowledgment;
-      probe.ip_id = frame.ip.identification;
-      probe.window = tcp->window;
-      probe.ttl = frame.ip.ttl;
-      ++counters_.scan_probes;
-      return FrameClass::kScanProbe;
-    }
-    if (tcp->is_syn_ack() || tcp->has(net::TcpFlag::kRst)) {
-      ++counters_.backscatter;
-      return FrameClass::kBackscatter;
-    }
-    ++counters_.other_tcp;
-    return FrameClass::kOtherTcp;
-  }
-  if (frame.udp() != nullptr) {
-    ++counters_.udp;
-    return FrameClass::kUdp;
-  }
-  if (frame.icmp() != nullptr) {
-    ++counters_.icmp;
-    return FrameClass::kIcmp;
-  }
-  ++counters_.malformed;
-  return FrameClass::kMalformed;
+  return verdict;
 }
 
 namespace detail {
 
-// One frame of the batched fast path (shared with the fused ingest scan
-// via classify_detail.h). Every early return mirrors a rejection in
-// decode_frame/classify_decoded so the counter histogram stays
-// bit-identical to the record-at-a-time path.
+// The sensor's one rule set (shared with the fused ingest scan via
+// classify_detail.h). The validation chain mirrors net::decode_frame's
+// rejections field for field, so a frame it calls malformed is one
+// decode_frame cannot decode; tests/telescope/reference_sensor.h holds
+// the decode-based reference it is checked against.
 FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
                         std::span<const std::uint8_t> bytes, SensorCounters& counters,
                         ProbeCursor& out) {
@@ -188,46 +145,12 @@ FrameClass classify_raw(const Telescope& telescope, net::TimeUs timestamp_us,
 
 std::size_t Sensor::classify_batch(std::span<const net::FrameView> frames,
                                    ProbeBatch& out) {
-  // Pre-size every column to the worst case (all frames are probes) so
-  // classify_raw can write through raw pointers, then trim to the actual
-  // probe count. clear() retains capacity, so a recycled batch re-sizes
-  // without reallocating.
   const auto before = out.size();
-  const auto limit = before + frames.size();
-  out.timestamp_us.resize(limit);
-  out.source.resize(limit);
-  out.destination.resize(limit);
-  out.source_port.resize(limit);
-  out.destination_port.resize(limit);
-  out.sequence.resize(limit);
-  out.acknowledgment.resize(limit);
-  out.ip_id.resize(limit);
-  out.window.resize(limit);
-  out.ttl.resize(limit);
-  detail::ProbeCursor cursor{out.timestamp_us.data() + before,
-                             out.source.data() + before,
-                             out.destination.data() + before,
-                             out.source_port.data() + before,
-                             out.destination_port.data() + before,
-                             out.sequence.data() + before,
-                             out.acknowledgment.data() + before,
-                             out.ip_id.data() + before,
-                             out.window.data() + before,
-                             out.ttl.data() + before};
+  auto cursor = detail::arm_cursor(out, before, frames.size());
   for (const auto& frame : frames) {
     detail::classify_raw(*telescope_, frame.timestamp_us, frame.bytes, counters_, cursor);
   }
-  const auto count = before + cursor.count;
-  out.timestamp_us.resize(count);
-  out.source.resize(count);
-  out.destination.resize(count);
-  out.source_port.resize(count);
-  out.destination_port.resize(count);
-  out.sequence.resize(count);
-  out.acknowledgment.resize(count);
-  out.ip_id.resize(count);
-  out.window.resize(count);
-  out.ttl.resize(count);
+  detail::resize_columns(out, before + cursor.count);
   return cursor.count;
 }
 

@@ -90,21 +90,18 @@ class Sensor {
   explicit Sensor(const Telescope&&) = delete;
 
   /// Classifies a raw frame; fills `probe` when the result is kScanProbe.
+  /// Runs the same raw-byte rule set as `classify_batch`, one frame at a
+  /// time.
   FrameClass classify(const net::RawFrame& frame, ScanProbe& probe);
-
-  /// Classifies an already decoded frame (generator fast path that skips
-  /// re-decoding).
-  FrameClass classify_decoded(net::TimeUs timestamp_us, const net::DecodedFrame& frame,
-                              ScanProbe& probe);
 
   /// Classifies a whole batch of frame views (e.g. straight out of
   /// `pcap::MappedReader`), appending every scan probe to `out` in frame
   /// order. Decode, SYN filtering and the dark-address check run inline
-  /// over the raw bytes — no `DecodedFrame` is materialized — but the
-  /// classification (and therefore every counter) is bit-identical to
-  /// feeding each frame through `classify`; the differential tests in
-  /// tests/telescope/probe_batch_test.cpp hold the two paths together.
-  /// Returns the number of probes appended.
+  /// over the raw bytes — no `DecodedFrame` is materialized. The
+  /// differential tests in tests/telescope/probe_batch_test.cpp hold
+  /// this and `classify` to the decode-based reference sensor in
+  /// tests/telescope/reference_sensor.h. Returns the number of probes
+  /// appended.
   std::size_t classify_batch(std::span<const net::FrameView> frames, ProbeBatch& out);
 
   [[nodiscard]] const SensorCounters& counters() const noexcept { return counters_; }

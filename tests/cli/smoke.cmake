@@ -21,6 +21,49 @@ foreach(cmd info analyze fingerprint)
   endif()
 endforeach()
 
+# Unknown flags fail with a message naming the flag instead of running
+# with defaults (a misspelt or retired option must never pass silently).
+foreach(bad
+    "analyze;${CAPTURE};--wokers=1"
+    "simulate;--out=${WORKDIR}/bogus.pcap;--bogus=1"
+    "info;${CAPTURE};--frobnicate"
+    "fingerprint;${CAPTURE};--top=3"
+    "cache;build;${CAPTURE};--codec=raw"
+    "cache;build;${CAPTURE};--no-probe-cache"
+    "rollup;query;${CAPTURE};--shards=2"
+    "serve;--socket=${WORKDIR}/bogus.sock;--bogus"
+    "query;--socket=${WORKDIR}/bogus.sock;--capture=x;PING")
+  execute_process(
+    COMMAND ${SYNSCAN} ${bad}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  list(GET bad 0 cmd)
+  foreach(arg IN LISTS bad)
+    if(arg MATCHES "^--(wokers|bogus|frobnicate|top|codec|no-probe-cache|shards|capture)")
+      string(REGEX REPLACE "=.*" "" flag "${arg}")
+    endif()
+  endforeach()
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "${cmd} accepted unknown flag ${flag}: ${out}${err}")
+  endif()
+  string(FIND "${err}" "'${flag}'" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${cmd} error does not name ${flag}: ${err}")
+  endif()
+endforeach()
+if(EXISTS ${WORKDIR}/bogus.pcap)
+  message(FATAL_ERROR "simulate wrote a capture despite an unknown flag")
+endif()
+
+# The usage text lists every flag, including the ingest switches.
+execute_process(COMMAND ${SYNSCAN} help OUTPUT_VARIABLE out)
+foreach(flag --no-probe-cache --no-mmap --scan-chunks --no-rollup-store --io-workers
+    --idle-timeout-ms --force --host)
+  string(FIND "${out}" "${flag}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "usage text does not list ${flag}: ${out}")
+  endif()
+endforeach()
+
 execute_process(
   COMMAND ${SYNSCAN} analyze ${CAPTURE} --top=3
   RESULT_VARIABLE rc OUTPUT_VARIABLE out)

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
+#include <string>
 
+#include "core/analysis_session.h"
+#include "pcap/pcap.h"
+#include "report/json.h"
 #include "simgen/generator.h"
 #include "test_support.h"
 
@@ -56,6 +61,14 @@ std::multimap<std::uint32_t, std::pair<std::uint64_t, std::uint32_t>> summarize(
   return out;
 }
 
+/// Feeds `frames` to `analyzer` the way the batched ingest does: one
+/// feeder-side classification, probes as a batch, counters absorbed.
+void feed_frames(ParallelAnalyzer& analyzer, const std::vector<net::RawFrame>& frames) {
+  telescope::SensorCounters counters;
+  analyzer.feed_probes(testing::classify_frames(test_telescope(), frames, counters));
+  analyzer.absorb_sensor_counters(counters);
+}
+
 /// `workload()` plus a tail that tests stream-end expiry: after the
 /// generated traffic, eight sources each probe once, and only then, more
 /// than one expiry later, does a last source end the stream. Each of the
@@ -85,7 +98,7 @@ TEST(ParallelAnalyzer, MatchesSerialPipeline) {
   const auto serial_result = serial.finish();
 
   ParallelAnalyzer parallel(test_telescope(), 4);
-  for (const auto& frame : frames) parallel.feed_frame(frame);
+  feed_frames(parallel, frames);
   const auto parallel_result = parallel.finish();
 
   // Every sensor and tracker counter the JSON report emits.
@@ -116,7 +129,7 @@ TEST(ParallelAnalyzer, DeterministicAcrossWorkerCounts) {
   std::vector<PipelineResult> results;
   for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
     ParallelAnalyzer analyzer(test_telescope(), workers);
-    for (const auto& frame : frames) analyzer.feed_frame(frame);
+    feed_frames(analyzer, frames);
     results.push_back(analyzer.finish());
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -131,14 +144,6 @@ TEST(ParallelAnalyzer, DeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(ParallelAnalyzer, UndecodableFramesCountedAsMalformed) {
-  ParallelAnalyzer analyzer(test_telescope(), 2);
-  analyzer.feed_frame({1, {0xde, 0xad}});
-  analyzer.feed_frame({2, {}});
-  const auto result = analyzer.finish();
-  EXPECT_EQ(result.sensor.malformed, 2u);
-}
-
 TEST(ParallelAnalyzer, RejectsZeroWorkers) {
   EXPECT_THROW(ParallelAnalyzer(test_telescope(), 0), std::invalid_argument);
 }
@@ -150,12 +155,42 @@ TEST(ParallelAnalyzer, FinishTwiceThrows) {
 }
 
 TEST(ParallelAnalyzer, DestructorWithoutFinishIsClean) {
-  const auto frames = workload();
+  auto frames = workload();
+  frames.resize(std::min<std::size_t>(500, frames.size()));
   ParallelAnalyzer analyzer(test_telescope(), 3);
-  for (std::size_t i = 0; i < std::min<std::size_t>(500, frames.size()); ++i) {
-    analyzer.feed_frame(frames[i]);
-  }
+  feed_frames(analyzer, frames);
   // No finish(): the destructor must join without deadlock or leak.
+}
+
+/// The report `analyze --json` writes (counters line, then campaign
+/// lines) is the same byte for byte whatever the worker count, including
+/// the quiet tail's stream-end expiries.
+TEST(AnalyzeCapture, ReportBytesEqualAcrossWorkerCounts) {
+  const auto dir = testing::scratch_dir();
+  const auto path = dir / "quiet_tail.pcap";
+  {
+    auto writer = pcap::Writer::create(path);
+    for (const auto& frame : workload_with_quiet_tail()) writer.write(frame);
+    writer.flush();
+  }
+  IngestOptions options;
+  options.use_cache = false;
+  options.batch_frames = 256;  // many batches, so slices interleave
+  std::vector<std::string> reports;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    const auto analysis =
+        analyze_capture(path, test_telescope(),
+                        enrich::InternetRegistry::synthetic_default(), workers, options);
+    std::string report;
+    report::append_counters_json(report, analysis.result);
+    report.push_back('\n');
+    report::append_campaigns_jsonl(report, analysis.result.campaigns);
+    reports.push_back(std::move(report));
+  }
+  ASSERT_NE(reports[0].find("\"expired_flows\":"), std::string::npos);
+  EXPECT_EQ(reports[1], reports[0]);
+  EXPECT_EQ(reports[2], reports[0]);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -15,22 +15,6 @@ const telescope::Telescope& tiny_telescope() {
   return telescope;
 }
 
-TEST(Pipeline, FeedDecodedSkipsReparsing) {
-  Pipeline pipeline(tiny_telescope());
-  net::TcpFrameSpec spec;
-  spec.src_ip = net::Ipv4Address::from_octets(9, 9, 9, 9);
-  spec.dst_ip = net::Ipv4Address::from_octets(203, 0, 113, 7);
-  spec.dst_port = 80;
-  const auto bytes = net::build_tcp_frame(spec);
-  const auto decoded = net::decode_frame(bytes);
-  ASSERT_TRUE(decoded.has_value());
-
-  pipeline.feed_decoded(42, *decoded);
-  EXPECT_EQ(pipeline.sensor_counters().scan_probes, 1u);
-  const auto result = pipeline.finish();
-  EXPECT_EQ(result.tracker.probes, 1u);
-}
-
 TEST(Pipeline, FinishIsTerminalAndMovesCampaigns) {
   Pipeline pipeline(tiny_telescope());
   for (int i = 0; i < 150; ++i) {

@@ -10,10 +10,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/fnv1a.h"
+#include "core/ingest.h"
+#include "core/probe_cache.h"
 #include "core/shard.h"
+#include "net/endian.h"
 #include "net/packet.h"
 #include "pcap/pcap.h"
 #include "report/json.h"
@@ -257,6 +263,72 @@ TEST_F(StoreFixture, RunShardsFallsBackToReanalysisOnCorruptRollup) {
   }
   // The rewrite healed the store: the next run hits.
   EXPECT_EQ(report_of(capture, true), reference);
+}
+
+/// The word-wise FNV-1a both file formats were first written with,
+/// spelled out byte by byte: little-endian 64-bit words, the last one
+/// zero-padded.
+std::uint64_t written_fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t state = 0xcbf29ce484222325ull;
+  for (std::size_t at = 0; at < bytes.size(); at += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < 8 && at + i < bytes.size(); ++i) {
+      word |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+    }
+    state = (state ^ word) * 0x100000001b3ull;
+  }
+  return state;
+}
+
+std::vector<std::uint8_t> slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void spill(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Fnv1a, MatchesTheOnDiskDefinition) {
+  std::vector<std::uint8_t> bytes(11);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(fnv1a(bytes), 0x1572810755c78455ull);
+  EXPECT_EQ(fnv1a({}), kFnvOffset);
+  // Chaining folds each call's tail word separately.
+  const std::span<const std::uint8_t> all(bytes);
+  EXPECT_EQ(fnv1a(all.subspan(8), fnv1a(all.first(8))), fnv1a(all));
+}
+
+/// `.spc` caches and `.spr` stores whose checksums were computed with the
+/// word-wise FNV-1a they were first written with still validate and hit:
+/// each file's checksum field is restamped with `written_fnv1a` over its
+/// checksummed region, then loaded.
+TEST_F(StoreFixture, FilesChecksummedWithTheWrittenFnv1aStillHit) {
+  IngestOptions ingest;
+  const auto cache_path = fs::path(capture.native() + ".spc");
+  (void)ingest_capture(capture, test_telescope(), ingest, [](const telescope::ProbeBatch&) {});
+  const auto cache_info = cache_stat(cache_path);
+  ASSERT_TRUE(cache_info.has_value());
+  ASSERT_LT(cache_info->probe_count, kCacheRowsPerChunk);  // one chunk: one hash run
+  auto cache = slurp(cache_path);
+  const auto cache_sum = written_fnv1a(std::span(cache).subspan(136));
+  EXPECT_EQ(cache_info->checksum, cache_sum);
+  net::store_le64(cache.data() + 128, cache_sum);
+  spill(cache_path, cache);
+  EXPECT_TRUE(ProbeCacheReader::open(cache_path, identity).has_value());
+  EXPECT_TRUE(ingest_capture(capture, test_telescope(), ingest,
+                             [](const telescope::ProbeBatch&) {})
+                  .from_cache);
+
+  save(analyze());
+  auto store = slurp(rollup_path);
+  const auto store_sum = written_fnv1a(std::span(store).subspan(64));
+  EXPECT_EQ(rollup_stat(rollup_path)->checksum, store_sum);
+  net::store_le64(store.data() + 56, store_sum);
+  spill(rollup_path, store);
+  EXPECT_TRUE(load().has_value());
 }
 
 }  // namespace

@@ -253,7 +253,9 @@ TEST(TrackerDifferential, SerialAndParallelMergeDeterministic) {
   std::vector<PipelineResult> parallel_results;
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ParallelAnalyzer analyzer(telescope, workers);
-    for (const auto& frame : frames) analyzer.feed_frame(frame);
+    telescope::SensorCounters counters;
+    analyzer.feed_probes(testing::classify_frames(telescope, frames, counters));
+    analyzer.absorb_sensor_counters(counters);
     parallel_results.push_back(analyzer.finish());
   }
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "core/analysis_geo.h"
@@ -340,11 +339,11 @@ TEST(BatchedPipelineDifferential, SerialJsonMatchesPerProbeReference) {
   ASSERT_GT(reference_result.campaigns.size(), 0u);
 
   const auto to_json = [](const core::PipelineResult& result) {
-    std::ostringstream out;
-    report::write_counters_json(out, result);
-    out << '\n';
-    report::write_campaigns_jsonl(out, result.campaigns);
-    return out.str();
+    std::string out;
+    report::append_counters_json(out, result);
+    out.push_back('\n');
+    report::append_campaigns_jsonl(out, result.campaigns);
+    return out;
   };
   EXPECT_EQ(to_json(batched_result), to_json(reference_result));
   EXPECT_EQ(batched_ports.total_packets(), reference_ports.total_packets());
@@ -370,9 +369,9 @@ TEST(BatchedPipelineDifferential, WorkerSliceShardingMatchesSerial) {
     return out;
   };
   const auto jsonl = [](const core::PipelineResult& result) {
-    std::ostringstream out;
-    report::write_campaigns_jsonl(out, result.campaigns);
-    return out.str();
+    std::string out;
+    report::append_campaigns_jsonl(out, result.campaigns);
+    return out;
   };
 
   std::vector<std::string> parallel_json;

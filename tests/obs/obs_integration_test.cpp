@@ -100,16 +100,18 @@ TEST_F(ObsIntegration, ParallelAnalyzerPublishesWorkerMetrics) {
   core::ParallelAnalyzer analyzer(test_telescope(), kWorkers);
   simgen::TrafficGenerator generator(small_config(), test_telescope(),
                                      enrich::InternetRegistry::synthetic_default());
-  const auto stats =
-      generator.run([&](const net::RawFrame& f) { analyzer.feed_frame(f); });
+  std::vector<net::RawFrame> frames;
+  (void)generator.run([&](const net::RawFrame& f) { frames.push_back(f); });
+  telescope::SensorCounters counters;
+  analyzer.feed_probes(testing::classify_frames(test_telescope(), frames, counters));
+  analyzer.absorb_sensor_counters(counters);
   const auto result = analyzer.finish();
 
   auto& registry = obs::MetricsRegistry::global();
   EXPECT_EQ(registry.gauge("parallel.workers").value(),
             static_cast<std::int64_t>(kWorkers));
-  // Every decodable frame was dispatched to exactly one worker.
-  EXPECT_EQ(global_counter("parallel.items") + global_counter("parallel.undecodable"),
-            stats.total_frames);
+  // Every probe row was dispatched to exactly one worker.
+  EXPECT_EQ(global_counter("parallel.items"), counters.scan_probes);
   EXPECT_GT(global_counter("parallel.batches"), 0u);
   EXPECT_GT(registry.histogram("parallel.batch_items").data().count, 0u);
   for (std::size_t i = 0; i < kWorkers; ++i) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 namespace synscan::report {
 namespace {
@@ -33,9 +33,8 @@ TEST(JsonEscape, EscapesControlAndQuotes) {
 }
 
 TEST(CampaignJson, ContainsAllFieldsSorted) {
-  std::ostringstream out;
-  write_campaign_json(out, sample_campaign());
-  const auto text = out.str();
+  std::string text;
+  append_campaign_json(text, sample_campaign());
   EXPECT_NE(text.find("\"id\":7"), std::string::npos);
   EXPECT_NE(text.find("\"source\":\"1.2.3.4\""), std::string::npos);
   EXPECT_NE(text.find("\"tool\":\"masscan\""), std::string::npos);
@@ -52,19 +51,25 @@ TEST(CampaignJson, PortListCapRespected) {
   auto campaign = sample_campaign();
   campaign.port_packets.clear();
   for (std::uint16_t port = 1; port <= 100; ++port) campaign.port_packets[port] = 1;
-  std::ostringstream out;
-  write_campaign_json(out, campaign, 10);
-  const auto text = out.str();
+  std::string text;
+  append_campaign_json(text, campaign, 10);
   EXPECT_NE(text.find("\"ports\":[1,2,3,4,5,6,7,8,9,10]"), std::string::npos);
   EXPECT_NE(text.find("\"distinct_ports\":100"), std::string::npos);
 }
 
 TEST(CampaignJson, JsonlOneLinePerCampaign) {
   std::vector<core::Campaign> campaigns(3, sample_campaign());
-  std::ostringstream out;
-  write_campaigns_jsonl(out, campaigns);
-  const auto text = out.str();
+  campaigns[1].id = 8;
+  std::string text;
+  append_campaigns_jsonl(text, campaigns);
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+  // Each line is exactly the single-campaign object.
+  std::string lines;
+  for (const auto& campaign : campaigns) {
+    append_campaign_json(lines, campaign);
+    lines.push_back('\n');
+  }
+  EXPECT_EQ(text, lines);
 }
 
 TEST(CountersJson, AllCountersPresent) {
@@ -72,52 +77,12 @@ TEST(CountersJson, AllCountersPresent) {
   result.sensor.scan_probes = 10;
   result.sensor.backscatter = 2;
   result.tracker.subthreshold_flows = 5;
-  std::ostringstream out;
-  write_counters_json(out, result);
-  const auto text = out.str();
+  std::string text;
+  append_counters_json(text, result);
   EXPECT_NE(text.find("\"scan_probes\":10"), std::string::npos);
   EXPECT_NE(text.find("\"backscatter\":2"), std::string::npos);
   EXPECT_NE(text.find("\"subthreshold_flows\":5"), std::string::npos);
   EXPECT_NE(text.find("\"campaigns\":0"), std::string::npos);
-}
-
-// The daemon serves `append_*` strings while the CLI writes through the
-// `write_*` stream wrappers; QUERY-vs-offline byte identity rests on the
-// two layers emitting the same bytes.
-TEST(JsonLayers, StreamAndStringEmissionAreByteIdentical) {
-  const auto campaign = sample_campaign();
-  std::string appended;
-  append_campaign_json(appended, campaign);
-  std::ostringstream streamed;
-  write_campaign_json(streamed, campaign);
-  EXPECT_EQ(streamed.str(), appended);
-
-  core::PipelineResult result;
-  result.sensor.scan_probes = 987654321;
-  result.tracker.subthreshold_flows = 42;
-  std::string counters;
-  append_counters_json(counters, result);
-  std::ostringstream counters_stream;
-  write_counters_json(counters_stream, result);
-  EXPECT_EQ(counters_stream.str(), counters);
-}
-
-TEST(JsonLayers, LargeJsonlExportMatchesAcrossChunkedFlushes) {
-  // Enough campaigns that the streaming side flushes its row buffer many
-  // times mid-export; the concatenation must still match the one-shot
-  // string build.
-  std::vector<core::Campaign> campaigns(2000, sample_campaign());
-  for (std::size_t i = 0; i < campaigns.size(); ++i) {
-    campaigns[i].id = i;
-    campaigns[i].packets = 100 + i;
-    campaigns[i].port_packets[static_cast<std::uint16_t>(1 + i % 4000)] = 1;
-  }
-  std::string appended;
-  append_campaigns_jsonl(appended, campaigns);
-  std::ostringstream streamed;
-  write_campaigns_jsonl(streamed, campaigns);
-  EXPECT_GT(appended.size(), 64u * 1024u);  // exercises maybe_flush
-  EXPECT_EQ(streamed.str(), appended);
 }
 
 }  // namespace

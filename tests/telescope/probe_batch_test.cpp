@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "net/endian.h"
+#include "telescope/reference_sensor.h"
 #include "test_support.h"
 
 namespace synscan::telescope {
@@ -45,27 +47,39 @@ class ClassifyBatchDifferential : public ::testing::Test {
       : telescope_({{*net::Ipv4Prefix::parse("203.0.113.0/24"), 1000}},
                    {{23, 1000 * net::kMicrosPerSecond}}) {}
 
-  /// Runs the same frames through `classify` and `classify_batch` and
-  /// asserts identical probes and counters.
+  /// Runs the same frames through the decode-based reference sensor,
+  /// `Sensor::classify` and `Sensor::classify_batch` and asserts
+  /// identical verdicts, probes and counters.
   void expect_equivalent(const std::vector<net::RawFrame>& frames) {
-    Sensor reference(telescope_);
+    testing::ReferenceSensor reference(telescope_);
+    Sensor single(telescope_);
     std::vector<ScanProbe> expected;
     ScanProbe probe;
-    for (const auto& frame : frames) {
-      if (reference.classify(frame, probe) == FrameClass::kScanProbe) {
+    ScanProbe single_probe;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const auto verdict = reference.classify(frames[i], probe);
+      EXPECT_EQ(single.classify(frames[i], single_probe), verdict) << "frame " << i;
+      if (verdict == FrameClass::kScanProbe) {
+        EXPECT_TRUE(same_probe(single_probe, probe)) << "frame " << i;
         expected.push_back(probe);
       }
     }
+    EXPECT_TRUE(same_counters(reference.counters(), single.counters()))
+        << "classify counter histogram diverged";
 
     Sensor batched(telescope_);
     std::vector<net::FrameView> views;
     views.reserve(frames.size());
     for (const auto& frame : frames) views.push_back(net::as_view(frame));
+    // Two calls into one batch: the second appends after existing rows.
+    const std::span<const net::FrameView> all(views);
+    const auto half = all.size() / 2;
     ProbeBatch batch;
-    const auto appended = batched.classify_batch(views, batch);
+    auto appended = batched.classify_batch(all.first(half), batch);
+    appended += batched.classify_batch(all.subspan(half), batch);
 
     EXPECT_TRUE(same_counters(reference.counters(), batched.counters()))
-        << "counter histograms diverged";
+        << "classify_batch counter histogram diverged";
     ASSERT_EQ(appended, expected.size());
     ASSERT_EQ(batch.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {

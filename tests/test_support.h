@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "telescope/probe_batch.h"
 #include "telescope/sensor.h"
 
 namespace synscan::testing {
@@ -74,6 +75,22 @@ inline std::vector<std::uint8_t> syn_frame(net::Ipv4Address src, net::Ipv4Addres
   spec.sequence = 42;
   spec.flags = flags;
   return net::build_tcp_frame(spec);
+}
+
+/// Classifies `frames` with a fresh sensor into one probe batch — the
+/// shape the batched ingest hands `ParallelAnalyzer::feed_probes` — and
+/// adds the sensor's tally to `counters`.
+inline telescope::ProbeBatch classify_frames(const telescope::Telescope& telescope,
+                                             const std::vector<net::RawFrame>& frames,
+                                             telescope::SensorCounters& counters) {
+  std::vector<net::FrameView> views;
+  views.reserve(frames.size());
+  for (const auto& frame : frames) views.push_back(net::as_view(frame));
+  telescope::Sensor sensor(telescope);
+  telescope::ProbeBatch batch;
+  (void)sensor.classify_batch(views, batch);
+  counters.add(sensor.counters());
+  return batch;
 }
 
 /// A fresh, empty scratch directory for the running test case, named

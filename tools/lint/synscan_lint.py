@@ -39,6 +39,12 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and examples):
                       from its scratch_dir(), which names the dir per
                       test case and process so parallel ctest cases
                       never share (and delete) each other's files.
+  frame-decode-outside-net
+                      no net::decode_frame / net::DecodedFrame in src/
+                      outside src/net: the sensor's one rule set is the
+                      raw-byte classifier; the decode-based rule chain
+                      lives in tests/ as the reference it is checked
+                      against.
 
 Suppression: append `// synscan-lint: allow(<rule>[, <rule>...])` to the
 offending line (or put it on a comment line directly above), or add
@@ -94,6 +100,10 @@ NEW_DELETE = re.compile(r"\b(new|delete)\b")
 
 TEMP_DIR_CALL = re.compile(r"\btemp_directory_path\s*\(")
 
+FRAME_DECODE = re.compile(r"\b(decode_frame|DecodedFrame)\b")
+FRAME_DECODE_DIRS = ("src",)
+FRAME_DECODE_HOME = "src/net/"
+
 RAW_SYNC = re.compile(
     r"\bstd::(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex|condition_variable|"
@@ -130,6 +140,7 @@ RULES = (
     "raw-sync-primitive",
     "guarded-by",
     "temp-dir-literal",
+    "frame-decode-outside-net",
 )
 
 
@@ -609,6 +620,25 @@ class Linter:
                         "parallel ctest cases never share a scratch dir",
                     )
 
+    # --- frame-decode-outside-net ------------------------------------------
+
+    def check_frame_decode_outside_net(self):
+        for path in self.files_under(FRAME_DECODE_DIRS, {".h", ".cpp"}):
+            source = self.load(path)
+            if source.rel.startswith(FRAME_DECODE_HOME):
+                continue  # the decoder itself
+            for number, line in enumerate(source.stripped_lines, start=1):
+                m = FRAME_DECODE.search(line)
+                if m:
+                    self.emit(
+                        source,
+                        number,
+                        "frame-decode-outside-net",
+                        f"{m.group(1)} outside src/net — classify with "
+                        "telescope::detail::classify_raw (the one rule set); "
+                        "decode-based references belong in tests/",
+                    )
+
     # --- test-registration -------------------------------------------------
 
     def check_test_registration(self):
@@ -650,6 +680,7 @@ class Linter:
             "raw-sync-primitive": self.check_raw_sync_primitive,
             "guarded-by": self.check_guarded_by,
             "temp-dir-literal": self.check_temp_dir_literal,
+            "frame-decode-outside-net": self.check_frame_decode_outside_net,
         }
         for rule in rules:
             dispatch[rule]()

@@ -30,6 +30,7 @@ EXPECTED = {
     "raw-sync-primitive": 4,  # locking.cpp: 2 includes, member, lock_guard
     "guarded-by": 2,          # guarded.h: open_ + draining_ unannotated
     "temp-dir-literal": 2,    # scratch_paths.cpp: two temp_directory_path() calls
+    "frame-decode-outside-net": 2,  # decoded_sensor.cpp: DecodedFrame + decode_frame
 }
 
 
